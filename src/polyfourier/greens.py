@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .legendre import legendre_p
-from .logpoly import logpoly_eval, logpoly_recurrence
-from .scalars import beta_pd, eta_from_chi, harmonic
-from .series_algebraic import log_series_algebraic
-from .series_limit import inverse_power_series, log_series_limit, power_series
+from .legendre import LegendreArg
+from .scalars import beta_pd, eta_from_chi
+from .series_algebraic import log_series_algebraic, p_frak
+from .series_limit import (
+    _log_band_coefficient,
+    inverse_power_series,
+    log_series_limit,
+    power_coefficient,
+    power_series,
+)
 from .tables import FourierCoeffTable, default_nmax
 
 __all__ = [
@@ -193,36 +197,22 @@ def hii_expansion(
 def axisym_component(params: SolutionParams, geom: Geometry, form: str = "legendre") -> float:
     """Axisymmetric (n = 0) coefficient of li_expansion, by either closed form.
 
-    form='legendre' uses Legendre evaluations with digamma weights;
-    form='logpoly' uses the log-polynomial family with (chi - sqrt(chi^2-1))^k
-    damping.  Both equal li_expansion(...).coeffs[0].
+    form='legendre' uses the limit route's band coefficient (Legendre
+    evaluations with digamma weights); form='logpoly' uses the algebraic
+    route's alternating sum of e^{-k eta} R_p^k.  Each is added to the shared
+    power term, and both equal li_expansion(...).coeffs[0].
     """
     p = params.p
     eta = geom.eta
-    two_rr = 2.0 * geom.R * geom.Rprime
-    scale = two_rr**p
-    log_rr = math.log(geom.R * geom.Rprime)
-    beta2 = 2.0 * float(beta_pd(p, params.d))
-    sph = math.sinh(eta) ** p
-    z = 1.0 / math.tanh(eta)
     if form == "legendre":
-        dig = 2.0 * float(harmonic(2 * p) - harmonic(p))
-        out = 0.5 * sph * (log_rr + eta - beta2 + dig) * legendre_p(p, 0, z, eta=eta)
-        acc = 0.0
-        for k in range(p):
-            acc += (-1) ** k * float(Fraction(2 * k + 1, (p - k) * (p + k + 1))) * legendre_p(
-                k, 0, z, eta=eta
-            )
-        out += (-1) ** p * sph * acc
-        return scale * out
-    if form == "logpoly":
-        x = math.cosh(eta)
-        out = 0.5 * sph * (log_rr + eta - beta2) * legendre_p(p, 0, z, eta=eta)
-        for k in range(1, p + 1):
-            rk = logpoly_eval(logpoly_recurrence(p, k), x)
-            out += (-1) ** (k + 1) * math.exp(-k * eta) * rk / k
-        return scale * out
-    raise ValueError("form must be 'legendre' or 'logpoly'")
+        g = _log_band_coefficient(LegendreArg.from_eta(eta), p, 0)
+    elif form == "logpoly":
+        g = p_frak(0, p, eta)
+    else:
+        raise ValueError("form must be 'legendre' or 'logpoly'")
+    w = math.log(geom.R * geom.Rprime) + eta - 2.0 * float(beta_pd(p, params.d))
+    scale = (2.0 * geom.R * geom.Rprime) ** p
+    return scale * 0.5 * (w * power_coefficient(p, 0, eta) + g)
 
 
 def li_truncation(params: SolutionParams, geom: Geometry, tail_tol: float = 1e-10) -> int:

@@ -13,24 +13,28 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
       S_{p,n}(z) = sum_{j=0}^{p} [(-p)_j (p+1)_j / (j! (1+n)_j)] ((1-z)/2)^j,
   whose terms are again all positive for z > 1.
 
-When the argument is coth(eta) the factors (z-1), (z+1), (z^2-1)^{1/2} and
-((z-1)/(z+1))^{1/2} collapse to stable functions of eta (2/expm1(2 eta),
-csch eta, e^{-eta}); pass eta to use those forms.  Everything here is also
-evaluable in exact rational arithmetic in t = e^eta, which legendre_p_exact
-exposes for the identity checks.
+Each closed form here, and those of the series routes built on it, is
+written once over an evaluation point that owns the arithmetic.  LegendreArg
+works in floats: when the argument is coth(eta) the factors (z-1),
+(z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} take the stable forms 2/expm1(2 eta),
+csch eta and e^{-eta}.  ExactLegendreArg works in exact rationals at
+t = e^eta, where coth, cosh, sinh and every e^{k eta} are rational; the
+identity suite in validation evaluates the production closed forms there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConvergenceError
+from .logpoly import logpoly_eval, logpoly_recurrence
 from .scalars import eta_from_chi, harmonic
 
 __all__ = [
+    "ExactLegendreArg",
     "LegendreArg",
     "legendre_p",
     "legendre_p_nu",
@@ -43,14 +47,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LegendreArg:
-    """Argument bundle z = coth(eta) = chi / sqrt(chi^2 - 1) with z > 1."""
+    """Float evaluation point z > 1, and the arithmetic the closed forms use.
+
+    Given eta, z = coth(eta) and every factor takes its eta-stable form:
+    u = z - 1 = 2/expm1(2 eta), e^{k eta} and sinh^k(eta); z itself is then
+    informational.  With eta None the factors are formed from z.
+    """
 
     z: float
-    eta: float
+    eta: float | None
+    u: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.z > 1.0 and self.eta > 0.0):
-            raise ValueError("LegendreArg needs z > 1 and eta > 0")
+        if self.eta is None:
+            if not self.z > 1.0:
+                raise ValueError("LegendreArg needs z > 1")
+            u = self.z - 1.0
+        else:
+            if not self.eta > 0.0:
+                raise ValueError("LegendreArg needs eta > 0")
+            u = 2.0 / math.expm1(2.0 * self.eta)
+        object.__setattr__(self, "u", u)
 
     @classmethod
     def from_chi(cls, chi: float) -> "LegendreArg":
@@ -62,6 +79,82 @@ class LegendreArg:
         if not eta > 0.0:
             raise ValueError("from_eta needs eta > 0")
         return cls(z=1.0 / math.tanh(eta), eta=eta)
+
+    weight = staticmethod(float)
+    total = staticmethod(math.fsum)
+
+    def exp(self, k: int) -> float:
+        """e^{k eta} = ((z+1)/(z-1))^{k/2}."""
+        if self.eta is None:
+            return math.exp(-0.5 * k * math.log(self.u / (self.z + 1.0)))
+        return math.exp(k * self.eta)
+
+    def sinh_pow(self, k: int) -> float:
+        """sinh^k(eta) = (z^2-1)^{-k/2}."""
+        if self.eta is None:
+            return math.exp(-0.5 * k * math.log(self.u * (self.z + 1.0)))
+        return math.sinh(self.eta) ** k
+
+    def horner(self, coeffs) -> float:
+        """Polynomial with exact coefficients coeffs[i] of u^i, at u."""
+        u = self.u
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * u + float(c)
+        return acc
+
+    def scaled_logpoly(self, p: int, k: int) -> float:
+        """e^{k eta} R_p^k(cosh eta), formed as exp(k eta + log R) when R > 0."""
+        val = logpoly_eval(logpoly_recurrence(p, k), math.cosh(self.eta))
+        if val > 0.0:
+            return math.exp(k * self.eta + math.log(val))
+        return math.exp(k * self.eta) * val
+
+
+@dataclass(frozen=True)
+class ExactLegendreArg:
+    """Exact evaluation point z = coth(eta), parametrized by the rational
+    t = e^eta > 1: coth, sinh, cosh and every e^{k eta} are rational in t, so
+    each closed form evaluated here is an exact Fraction."""
+
+    t: Fraction
+    u: Fraction = field(init=False, repr=False, compare=False)
+    x: Fraction = field(init=False, repr=False, compare=False)
+    sinh: Fraction = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t = self.t
+        if not t > 1:
+            raise ValueError("ExactLegendreArg needs t > 1")
+        object.__setattr__(self, "u", 2 / (t * t - 1))
+        object.__setattr__(self, "x", (t * t + 1) / (2 * t))
+        object.__setattr__(self, "sinh", (t * t - 1) / (2 * t))
+
+    @classmethod
+    def from_eta(cls, eta: float) -> "ExactLegendreArg":
+        return cls(Fraction(math.exp(eta)))
+
+    @staticmethod
+    def weight(c):
+        return c
+
+    total = staticmethod(sum)
+
+    def exp(self, k: int) -> Fraction:
+        return self.t**k
+
+    def sinh_pow(self, k: int) -> Fraction:
+        return self.sinh**k
+
+    def horner(self, coeffs) -> Fraction:
+        u = self.u
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * u + c
+        return acc
+
+    def scaled_logpoly(self, p: int, k: int) -> Fraction:
+        return self.t**k * logpoly_recurrence(p, k).eval_exact(self.x)
 
 
 @lru_cache(maxsize=None)
@@ -92,11 +185,15 @@ def taylor_coeffs_at1(p: int, m: int) -> tuple[Fraction, ...]:
     return tuple(shifted)
 
 
-def _taylor_eval(p: int, m: int, u: float) -> float:
-    acc = 0.0
-    for c in reversed(taylor_coeffs_at1(p, m)):
-        acc = acc * u + float(c)
-    return acc
+def _neg_order_sum(pt, p: int, n: int):
+    if p < 0 or n < 0:
+        raise ValueError("neg_order_sum needs p >= 0 and n >= 0")
+    w = -pt.u / 2  # (1 - z)/2, formed without cancellation
+    term = total = pt.weight(1)
+    for j in range(p):
+        term *= (j - p) * (p + 1 + j) * w / ((j + 1) * (1 + n + j))
+        total += term
+    return total
 
 
 def neg_order_sum(p: int, n: int, z: float) -> float:
@@ -105,76 +202,59 @@ def neg_order_sum(p: int, n: int, z: float) -> float:
     P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} S_{p,n}(z) / n!; callers that must avoid
     under/overflow fold the exponential prefactor and 1/n! analytically.
     """
-    if p < 0 or n < 0:
-        raise ValueError("neg_order_sum needs p >= 0 and n >= 0")
-    w = (1.0 - z) / 2.0
-    term = 1.0
-    total = 1.0
-    for j in range(p):
-        term *= (j - p) * (p + 1 + j) * w / ((j + 1) * (1 + n + j))
-        total += term
-    return total
+    return _neg_order_sum(LegendreArg(z, None), p, n)
+
+
+def _legendre(pt, p: int, m: int):
+    """P_p^m at the point pt, for integer degree p >= 0 and any integer order."""
+    if p < 0:
+        raise ValueError("Legendre degree must be >= 0")
+    if m > p:
+        return pt.weight(Fraction(0))
+    if m >= 0:
+        q = pt.horner(taylor_coeffs_at1(p, m))
+        return q if m == 0 else pt.sinh_pow(-m) * q
+    n = -m
+    return pt.exp(-n) * pt.weight(Fraction(1, math.factorial(n))) * _neg_order_sum(pt, p, n)
 
 
 def legendre_p(p: int, m: int, z: float, *, eta: float | None = None) -> float:
-    """P_p^m(z) for integer degree p >= 0, any integer order m, z > 1."""
-    if p < 0:
-        raise ValueError("legendre_p rejects negative degree")
-    if eta is not None:
-        if not eta > 0.0:
-            raise ValueError("legendre_p needs eta > 0")
-        u = 2.0 / math.expm1(2.0 * eta)
-        z = 1.0 + u
-    else:
-        if not z > 1.0:
-            raise ValueError("legendre_p needs z > 1")
-        u = z - 1.0
-    if m > p:
-        return 0.0
-    if m == 0:
-        return _taylor_eval(p, 0, u)
-    if m > 0:
-        if eta is not None:
-            pref = math.sinh(eta) ** (-m)
-        else:
-            pref = math.exp(0.5 * m * math.log(u * (z + 1.0)))
-        return pref * _taylor_eval(p, m, u)
-    n = -m
-    if eta is not None:
-        pref = math.exp(-n * eta)
-    else:
-        pref = math.exp(0.5 * n * math.log(u / (z + 1.0)))
-    return pref * float(Fraction(1, math.factorial(n))) * neg_order_sum(p, n, z)
+    """P_p^m(z) for integer degree p >= 0, any integer order m, z > 1;
+    pass eta with z = coth(eta) for the eta-stable forms."""
+    return _legendre(LegendreArg(z, eta), p, m)
 
 
 def legendre_p_exact(p: int, m: int, t: Fraction) -> Fraction:
-    """P_p^m(coth eta) in exact rational arithmetic, parametrized by t = e^eta.
+    """P_p^m(coth eta) in exact rational arithmetic, parametrized by t = e^eta."""
+    return _legendre(ExactLegendreArg(t), p, m)
 
-    coth eta = (t^2+1)/(t^2-1), csch eta = 2t/(t^2-1) and e^{-eta} = 1/t are
-    rational in t, hence so is P_p^m(coth eta) for every integer order.
-    """
-    if p < 0:
-        raise ValueError("legendre_p_exact rejects negative degree")
-    if not t > 1:
-        raise ValueError("legendre_p_exact needs t > 1")
-    if m > p:
-        return Fraction(0)
-    tt = t * t
-    z = Fraction(tt + 1, tt - 1)
-    if m >= 0:
-        csch = 2 * t / (tt - 1)
-        acc = Fraction(0)
-        for c in reversed(taylor_coeffs_at1(p, m)):
-            acc = acc * (z - 1) + c
-        return csch**m * acc
-    n = -m
-    w = (1 - z) / 2
-    term = Fraction(1)
-    total = Fraction(1)
-    for j in range(p):
-        term *= Fraction((j - p) * (p + 1 + j), (j + 1) * (1 + n + j)) * w
-        total += term
-    return total / (t**n * math.factorial(n))
+
+def _degree_sum_same_order(pt, p: int, m: int):
+    """sum_{k<p-m} (-1)^k w_k P_{k+m}^m: the same-order part of the degree
+    derivative at 0 <= m <= p, shared with the log-kernel band coefficient.
+    Each weight is assembled exactly, then cast by the point."""
+    acc = 0
+    for k in range(p - m):
+        w = Fraction(2 * k + 2 * m + 1, (p - m - k) * (p + m + k + 1)) * (
+            1
+            + Fraction(
+                math.factorial(k) * math.factorial(p + m),
+                math.factorial(k + 2 * m) * math.factorial(p - m),
+            )
+        )
+        acc += (-1) ** k * pt.weight(w) * _legendre(pt, k + m, m)
+    return acc
+
+
+def _degree_sum_neg_order(pt, p: int, m: int):
+    """sum_{k<m} (-1)^k (2k+1)/((p-k)(p+k+1)) P_k^{-m}: the negative-order
+    part of the degree derivative at 0 <= m <= p, shared with the band
+    coefficient."""
+    acc = 0
+    for k in range(m):
+        w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
+        acc += (-1) ** k * pt.weight(w) * _legendre(pt, k, -m)
+    return acc
 
 
 def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> float:
@@ -216,27 +296,15 @@ def legendre_deg_deriv(p: int, m: int, z: float) -> float:
         raise ValueError("legendre_deg_deriv handles m >= 0 only")
     if not z > 1.0:
         raise ValueError("legendre_deg_deriv needs z > 1")
+    pt = LegendreArg(z, None)
     if m >= p + 1:
         w = math.factorial(p + m) * math.factorial(m - p - 1)
-        return (-1) ** (p + m + 1) * w * legendre_p(p, -m, z)
-    out = math.log((z + 1.0) / 2.0) * legendre_p(p, m, z)
+        return (-1) ** (p + m + 1) * w * _legendre(pt, p, -m)
+    out = math.log((z + 1.0) / 2.0) * _legendre(pt, p, m)
     # 2 psi(2p+1) - psi(p+1) - psi(p-m+1), exact
     dig = 2 * harmonic(2 * p) - harmonic(p) - harmonic(p - m)
-    out += float(dig) * legendre_p(p, m, z)
-    acc = 0.0
-    for k in range(p - m):
-        w = Fraction(2 * k + 2 * m + 1, (p - m - k) * (p + m + k + 1)) * (
-            1
-            + Fraction(
-                math.factorial(k) * math.factorial(p + m),
-                math.factorial(k + 2 * m) * math.factorial(p - m),
-            )
-        )
-        acc += (-1) ** k * float(w) * legendre_p(k + m, m, z)
-    out += (-1) ** (p + m) * acc
-    acc = 0.0
-    for k in range(m):
-        w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
-        acc += (-1) ** k * float(w) * legendre_p(k, -m, z)
-    out += (-1) ** p * float(Fraction(math.factorial(p + m), math.factorial(p - m))) * acc
+    out += float(dig) * _legendre(pt, p, m)
+    out += (-1) ** (p + m) * _degree_sum_same_order(pt, p, m)
+    w = Fraction(math.factorial(p + m), math.factorial(p - m))
+    out += (-1) ** p * float(w) * _degree_sum_neg_order(pt, p, m)
     return out

@@ -11,14 +11,16 @@ and reindexing the resulting double sum.  The per-coefficient building block is
 an alternating sum that is compensated (Kahan) because adjacent terms can
 cancel to many digits at small eta.  p_frak assembles the branch structure in
 n (constant band, middle band, n = p edge, exponential tail) and q_frak adds
-the power term carrying the (eta - log 2) weight.
+the power term carrying the (eta - log 2) weight.  r_frak, re_frak and p_frak
+are written once over an evaluation point (see legendre), so the identity
+suite evaluates them exactly at t = e^eta.
 """
 
 from __future__ import annotations
 
 import math
 
-from .logpoly import logpoly_eval, logpoly_recurrence
+from .legendre import LegendreArg
 from .scalars import eta_from_chi
 from .series_limit import power_coefficient
 from .tables import FourierCoeffTable, default_nmax
@@ -34,6 +36,13 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
+def _r_frak(pt, n: int, p: int, k1: int, k2: int):
+    # (-1)^{k+1} 2 as an integer: (-1) ** k is a float for negative k
+    return pt.total(
+        (2 if k % 2 else -2) * pt.scaled_logpoly(p, k) / (n - k) for k in range(k1, k2 + 1)
+    )
+
+
 def r_frak(n: int, p: int, k1: int, k2: int, eta: float) -> float:
     """Weighted alternating sum of log-polynomial values (see module docstring).
 
@@ -46,42 +55,34 @@ def r_frak(n: int, p: int, k1: int, k2: int, eta: float) -> float:
         raise ValueError("r_frak needs -p <= k1 <= k2 <= p")
     if k1 <= n <= k2:
         raise ValueError("r_frak needs n outside [k1, k2]")
-    if not eta > 0.0:
-        raise ValueError("r_frak needs eta > 0")
-    x = math.cosh(eta)
+    return _r_frak(LegendreArg.from_eta(eta), n, p, k1, k2)
 
-    def terms():
-        for k in range(k1, k2 + 1):
-            val = logpoly_eval(logpoly_recurrence(p, k), x)
-            mag = math.exp(k * eta + math.log(val)) if val > 0.0 else math.exp(k * eta) * val
-            yield (-1) ** (k + 1) * 2.0 * mag / (n - k)
 
-    return math.fsum(terms())
+def _re_frak(pt, n: int, p: int):
+    if n < p + 1:
+        raise ValueError("re_frak needs n >= p+1")
+    return math.prod(range(n - p, n + p + 1)) * _r_frak(pt, n, p, -p, p)
 
 
 def re_frak(n: int, p: int, eta: float) -> float:
     """Tail sum rescaled by its growth factor:
     (n+p)!/(n-p-1)! * r_frak(n, p, -p, p, eta), defined for n >= p+1."""
-    if n < p + 1:
-        raise ValueError("re_frak needs n >= p+1")
-    w = 1
-    for i in range(n - p, n + p + 1):
-        w *= i
-    return w * r_frak(n, p, -p, p, eta)
+    return _re_frak(LegendreArg.from_eta(eta), n, p)
 
 
-def _d_term(n: int, p: int, eta: float) -> float:
-    # middle-band piece from reindexed terms with n + k < 0; empty below p = 2
-    if p < 2:
-        return 0.0
-    return math.exp(n * eta) * r_frak(-n, p, -p, -n - 1, eta)
-
-
-def _e_term(n: int, p: int, eta: float) -> float:
-    # middle-band piece from reindexed terms with n - k > 0; empty at p = 0
-    if p < 1:
-        return 0.0
-    return math.exp(-n * eta) * r_frak(n, p, -p, n - 1, eta)
+def _p_frak(pt, n: int, p: int):
+    if n < 0 or p < 0:
+        raise ValueError("p_frak needs n >= 0 and p >= 0")
+    if n == 0:
+        return _r_frak(pt, 0, p, -p, -1)
+    if n <= p - 1:
+        # middle band: reindexed terms with n + k < 0, then those with n - k > 0
+        return pt.exp(n) * _r_frak(pt, -n, p, -p, -n - 1) + pt.exp(-n) * _r_frak(
+            pt, n, p, -p, n - 1
+        )
+    if n == p:
+        return pt.exp(-p) * _r_frak(pt, p, p, -p, p - 1)
+    return pt.exp(-n) * _r_frak(pt, n, p, -p, p)
 
 
 def p_frak(n: int, p: int, eta: float) -> float:
@@ -93,27 +94,21 @@ def p_frak(n: int, p: int, eta: float) -> float:
     where the growth prefactor n (n^2-1^2) ... (n^2-p^2) = (n+p)!/(n-p-1)!
     cancels the rescaling of re_frak exactly, leaving e^{-n eta} r_frak.
     """
-    if n < 0 or p < 0:
-        raise ValueError("p_frak needs n >= 0 and p >= 0")
-    if n == 0:
-        if p == 0:
-            return 0.0
-        return r_frak(0, p, -p, -1, eta)
-    if n <= p - 1:
-        return _d_term(n, p, eta) + _e_term(n, p, eta)
-    if n == p:
-        return math.exp(-p * eta) * r_frak(p, p, -p, p - 1, eta)
-    return math.exp(-n * eta) * r_frak(n, p, -p, p, eta)
+    return _p_frak(LegendreArg.from_eta(eta), n, p)
+
+
+def _q_frak(pt: LegendreArg, n: int, p: int) -> float:
+    out = _p_frak(pt, n, p)
+    if n <= p:
+        out += (pt.eta - _LOG2) * power_coefficient(p, n, pt.eta)
+    return out
 
 
 def q_frak(n: int, p: int, eta: float) -> float:
     """Full coefficient of cos(n psi) in (cosh eta - cos psi)^p log(...):
     p_frak plus the (eta - log 2)-weighted power-series coefficient, which is
     zero for n > p."""
-    out = p_frak(n, p, eta)
-    if n <= p:
-        out += (eta - _LOG2) * power_coefficient(p, n, eta)
-    return out
+    return _q_frak(LegendreArg.from_eta(eta), n, p)
 
 
 def log_series_algebraic(
@@ -132,7 +127,8 @@ def log_series_algebraic(
         nmax = default_nmax(p, eta, tail_tol)
     if nmax < p + 1:
         raise ValueError("log series needs nmax >= p+1")
-    coeffs = tuple(q_frak(n, p, eta) for n in range(nmax + 1))
+    pt = LegendreArg.from_eta(eta)
+    coeffs = tuple(_q_frak(pt, n, p) for n in range(nmax + 1))
     return FourierCoeffTable(
         "log", p, chi, eta, "algebraic", coeffs, conditioning_warning=eta < 0.2
     )

@@ -9,8 +9,10 @@ For chi = cosh eta > 1 and psi the azimuth difference:
   the Legendre degree/order derivatives into finite combinations of Legendre
   evaluations at shifted integer parameters plus one explicit tail family.
 
-Every rational weight is accumulated as a Fraction and rounded once; Legendre
-factors are evaluated in the eta-stable forms.  Tail terms n >= p+1 combine
+Every rational weight is accumulated as a Fraction and rounded once by the
+evaluation point; Legendre factors are evaluated in the eta-stable forms.  The
+band, tail and inverse-power closed forms take that point as an argument, so
+the identity suite evaluates this same code at the exact point.  Tail terms n >= p+1 combine
 (n-p-1)!/n!, e^{-n eta} and the positive Gauss sum so that nothing overflows
 for large n eta.
 """
@@ -20,7 +22,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .legendre import legendre_p, neg_order_sum
+from .legendre import (
+    LegendreArg,
+    _degree_sum_neg_order,
+    _degree_sum_same_order,
+    _legendre,
+    _neg_order_sum,
+    legendre_p,
+)
 from .scalars import eta_from_chi, harmonic, neumann, pochhammer
 from .tables import FourierCoeffTable, default_nmax
 
@@ -57,15 +66,10 @@ def power_series(p: int, chi: float) -> FourierCoeffTable:
     return FourierCoeffTable("power", p, chi, eta, "closed_form", coeffs)
 
 
-def _inverse_coefficient(q: int, n: int, eta: float, z: float) -> float:
+def _inverse_coefficient(pt, q: int, n: int):
     # eps_n (n+q-1)!/((q-1)! n!) e^{-n eta} S_{q-1,n}(z) / sinh^q(eta)
     w = neumann(n) * math.comb(n + q - 1, q - 1)
-    return (
-        w
-        * math.exp(-n * eta)
-        * neg_order_sum(q - 1, n, z)
-        / math.sinh(eta) ** q
-    )
+    return w * pt.exp(-n) * _neg_order_sum(pt, q - 1, n) / pt.sinh_pow(q)
 
 
 def inverse_power_series(
@@ -79,55 +83,40 @@ def inverse_power_series(
         nmax = default_nmax(q, eta, tail_tol)
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    z = _coth(eta)
-    coeffs = tuple(_inverse_coefficient(q, n, eta, z) for n in range(nmax + 1))
+    pt = LegendreArg.from_eta(eta)
+    coeffs = tuple(_inverse_coefficient(pt, q, n) for n in range(nmax + 1))
     return FourierCoeffTable("inverse_power", q, chi, eta, "closed_form", coeffs)
+
+
+def _log_tail_coefficient(pt, p: int, n: int):
+    if n < p + 1:
+        raise ValueError("log_tail_coefficient needs n >= p+1")
+    w = Fraction(2 * (-1) ** (p + 1) * math.factorial(p), math.prod(range(n - p, n + 1)))
+    return pt.weight(w) * pt.sinh_pow(p) * pt.exp(-n) * _neg_order_sum(pt, p, n)
 
 
 def log_tail_coefficient(p: int, n: int, eta: float) -> float:
     """Tail entry (n >= p+1) of the log-kernel series:
     2 (-1)^{p+1} p! (n-p-1)! sinh^p(eta) P_p^{-n}(coth eta); the factorial
     ratio and the e^{-n eta} inside P_p^{-n} are folded analytically."""
-    if n < p + 1:
-        raise ValueError("log_tail_coefficient needs n >= p+1")
-    denom = 1
-    for i in range(n - p, n + 1):
-        denom *= i
-    w = 2 * (-1) ** (p + 1) * float(Fraction(math.factorial(p), denom))
-    return w * math.sinh(eta) ** p * math.exp(-n * eta) * neg_order_sum(p, n, _coth(eta))
+    return _log_tail_coefficient(LegendreArg.from_eta(eta), p, n)
 
 
-def _log_band_coefficient(p: int, n: int, eta: float) -> float:
+def _log_band_coefficient(pt, p: int, n: int):
     """Non-tail entry (0 <= n <= p), without the (eta - log 2) power term."""
-    z = _coth(eta)
-    sph = math.sinh(eta) ** p
+    sph = pt.sinh_pow(p)
     fp = math.factorial(p)
-    terms = []
     # degree-digamma block: 2 psi(2p+1) - psi(p+1+n) - psi(p+1-n), exact
     dig = 2 * harmonic(2 * p) - harmonic(p + n) - harmonic(p - n)
     w = Fraction((-1) ** n * neumann(n) * fp, math.factorial(p + n)) * dig
-    terms.append(float(w) * sph * legendre_p(p, n, z, eta=eta))
+    terms = [pt.weight(w) * sph * _legendre(pt, p, n)]
     if n <= p - 1:
-        acc = 0.0
-        for k in range(p - n):
-            w = Fraction(2 * n + 2 * k + 1, (p - n - k) * (p + n + k + 1)) * (
-                1
-                + Fraction(
-                    math.factorial(k) * math.factorial(p + n),
-                    math.factorial(2 * n + k) * math.factorial(p - n),
-                )
-            )
-            acc += (-1) ** k * float(w) * legendre_p(n + k, n, z, eta=eta)
         w = Fraction((-1) ** p * neumann(n) * fp, math.factorial(p + n))
-        terms.append(float(w) * sph * acc)
+        terms.append(pt.weight(w) * sph * _degree_sum_same_order(pt, p, n))
     if n >= 1:
-        acc = 0.0
-        for k in range(n):
-            w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
-            acc += (-1) ** k * float(w) * legendre_p(k, -n, z, eta=eta)
         w = Fraction(2 * (-1) ** (p + n) * fp, math.factorial(p - n))
-        terms.append(float(w) * sph * acc)
-    return math.fsum(terms)
+        terms.append(pt.weight(w) * sph * _degree_sum_neg_order(pt, p, n))
+    return pt.total(terms)
 
 
 def log_series_limit(
@@ -141,11 +130,12 @@ def log_series_limit(
         nmax = default_nmax(p, eta, tail_tol)
     if nmax < p + 1:
         raise ValueError("log series needs nmax >= p+1")
+    pt = LegendreArg.from_eta(eta)
     coeffs = []
     for n in range(nmax + 1):
         if n <= p:
-            c = (eta - _LOG2) * power_coefficient(p, n, eta) + _log_band_coefficient(p, n, eta)
+            c = (eta - _LOG2) * power_coefficient(p, n, eta) + _log_band_coefficient(pt, p, n)
         else:
-            c = log_tail_coefficient(p, n, eta)
+            c = _log_tail_coefficient(pt, p, n)
         coeffs.append(c)
     return FourierCoeffTable("log", p, chi, eta, "limit", tuple(coeffs))

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 __all__ = ["FourierCoeffTable", "default_nmax"]
 
 _KERNELS = ("power", "inverse_power", "log", "li", "hii")
@@ -67,7 +69,8 @@ def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:
     """Smallest N >= p+1 with e^{-N eta} N^{2p} < tail_tol.
 
     The envelope e^{-n eta} n^{2p} dominates every kernel tail handled here;
-    halving tail_tol grows N by about log2 / eta.
+    halving tail_tol grows N by about log2 / eta.  Raises ConvergenceError
+    when N would pass 10^6.
     """
     if p < 0:
         raise ValueError("default_nmax needs p >= 0")
@@ -79,5 +82,5 @@ def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:
     while -n * eta + 2 * p * math.log(n) >= math.log(tail_tol):
         n += 1
         if n > 10**6:
-            raise RuntimeError("truncation rule failed to terminate")
+            raise ConvergenceError("truncation rule passed its cap of 10^6 terms")
     return n

@@ -2,13 +2,14 @@
 verification of the reindexing identities behind the algebraic route, and
 grid drivers producing tabular reports.
 
-The reindexing identities relate alternating sums of e^{k eta} R_p^k(cosh eta)
-to Legendre evaluations.  Both sides are rational functions of t = e^eta
-(cosh, sinh, coth, csch and every e^{k eta} are rational in t), so they are
-verified here in exact rational arithmetic at the sampled t: a true identity
-yields error exactly 0.  Double precision could not do this -- at p = 10,
-eta = 5, n = 50 the left side cancels through ~13 digits -- and the exact
-route is also immune to the conditioning caveats of the float series code.
+The reindexing identities equate the algebraic route's alternating sums of
+e^{k eta} R_p^k(cosh eta) (p_frak, re_frak) with the limit route's Legendre
+closed forms (band and tail coefficients, and the inverse-power coefficient
+at q = p+1).  Both sides are rational functions of t = e^eta, so the suite
+evaluates the production closed forms themselves at the exact point
+t = Fraction(e^eta) (ExactLegendreArg): a true identity yields error exactly
+0.  Double precision could not do this -- at p = 10, eta = 5, n = 50 the
+left side cancels through ~13 digits.
 
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
@@ -28,11 +29,17 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .greens import Geometry, SolutionParams, axisym_component
-from .legendre import legendre_p_exact
-from .logpoly import logpoly_recurrence
-from .scalars import harmonic, neumann
-from .series_algebraic import log_series_algebraic
-from .series_limit import inverse_power_series, log_series_limit, power_series
+from .legendre import ExactLegendreArg
+from .scalars import neumann
+from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
+from .series_limit import (
+    _inverse_coefficient,
+    _log_band_coefficient,
+    _log_tail_coefficient,
+    inverse_power_series,
+    log_series_limit,
+    power_series,
+)
 from .tables import FourierCoeffTable
 
 __all__ = [
@@ -144,174 +151,78 @@ def quad_fourier_coeff(
 # exact-rational identity checks (t = e^eta)
 
 
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
-def _logpoly_at_cosh(p: int, k: int, t: Fraction) -> Fraction:
-    x = (t * t + 1) / (2 * t)
-    return logpoly_recurrence(p, k).eval_exact(x)
-
-
-def _r_frak_exact(n: int, p: int, k1: int, k2: int, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k in range(k1, k2 + 1):
-        total += Fraction(2 * _sign(k + 1), n - k) * t**k * _logpoly_at_cosh(p, k, t)
-    return total
-
-
-def _sinh_exact(t: Fraction) -> Fraction:
-    return (t * t - 1) / (2 * t)
+def _band_report(identity, p, n, eta, tol, floor) -> ValidationReport:
+    pt = ExactLegendreArg.from_eta(eta)
+    lhs = _p_frak(pt, n, p)
+    rhs = _log_band_coefficient(pt, p, n)
+    return _report(identity, p, n, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
 
 
 def verify_identity_n0(
     p: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
 ) -> ValidationReport:
-    """Constant-mode identity: sum_{k=1}^p (-1)^{k+1} e^{-k eta} R_p^k / k
-    against its Legendre/digamma closed form.  Exact in t = e^eta."""
+    """Constant-mode identity: the algebraic sum p_frak(0) against the limit
+    route's band coefficient (Legendre/digamma closed form)."""
     if p < 1:
         raise ValueError("verify_identity_n0 needs p >= 1")
-    t = Fraction(math.exp(eta))
-    lhs = sum(
-        Fraction(_sign(k + 1), k) * _logpoly_at_cosh(p, k, t) / t**k for k in range(1, p + 1)
-    )
-    sph = _sinh_exact(t) ** p
-    rhs = sph * (harmonic(2 * p) - harmonic(p)) * legendre_p_exact(p, 0, t)
-    acc = Fraction(0)
-    for k in range(p):
-        acc += Fraction(_sign(k) * (2 * k + 1), (p - k) * (p + k + 1)) * legendre_p_exact(
-            k, 0, t
-        )
-    rhs += _sign(p) * sph * acc
-    return _report("n0", p, 0, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
+    return _band_report("n0", p, 0, eta, tol, floor)
 
 
 def verify_identity_mid(
     p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
 ) -> ValidationReport:
-    """Middle-band identity (1 <= n <= p-1), exact in t = e^eta."""
+    """Middle-band identity (1 <= n <= p-1): p_frak(n) against the band
+    coefficient."""
     if not (p >= 2 and 1 <= n <= p - 1):
         raise ValueError("verify_identity_mid needs p >= 2 and 1 <= n <= p-1")
-    t = Fraction(math.exp(eta))
-    lhs = sum(
-        Fraction(_sign(k + 1), n - k) * t**k * _logpoly_at_cosh(p, k, t)
-        for k in range(-p, n)
-    )
-    lhs += t ** (2 * n) * sum(
-        Fraction(_sign(k), n + k) * t**k * _logpoly_at_cosh(p, k, t)
-        for k in range(-p, -n)
-    )
-    sph = _sinh_exact(t) ** p
-    fp = math.factorial(p)
-    fpn = math.factorial(p + n)
-    dig = 2 * harmonic(2 * p) - harmonic(p + n) - harmonic(p - n)
-    bracket = Fraction(_sign(n), fpn) * dig * legendre_p_exact(p, n, t)
-    acc = Fraction(0)
-    for k in range(p - n):
-        w = Fraction(2 * n + 2 * k + 1, (p - n - k) * (p + n + k + 1)) * (
-            1
-            + Fraction(
-                math.factorial(k) * fpn,
-                math.factorial(2 * n + k) * math.factorial(p - n),
-            )
-        )
-        acc += _sign(k) * w * legendre_p_exact(n + k, n, t)
-    bracket += Fraction(_sign(p), fpn) * acc
-    acc = Fraction(0)
-    for k in range(n):
-        acc += Fraction(_sign(k) * (2 * k + 1), (p - k) * (p + k + 1)) * legendre_p_exact(
-            k, -n, t
-        )
-    bracket += Fraction(_sign(p + n), math.factorial(p - n)) * acc
-    rhs = fp * t**n * sph * bracket
-    return _report("mid", p, n, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
+    return _band_report("mid", p, n, eta, tol, floor)
 
 
 def verify_identity_np(
     p: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
 ) -> ValidationReport:
-    """Edge identity at n = p, exact in t = e^eta."""
+    """Edge identity at n = p: p_frak(p) against the band coefficient."""
     if p < 1:
         raise ValueError("verify_identity_np needs p >= 1")
-    t = Fraction(math.exp(eta))
-    lhs = sum(
-        Fraction(_sign(k + 1), p - k) * t**k * _logpoly_at_cosh(p, k, t)
-        for k in range(-p, p)
-    )
-    sph = _sinh_exact(t) ** p
-    bracket = Fraction(_sign(p), math.factorial(2 * p)) * harmonic(2 * p) * legendre_p_exact(
-        p, p, t
-    )
-    for k in range(p):
-        bracket += Fraction(_sign(k) * (2 * k + 1), (p - k) * (p + k + 1)) * legendre_p_exact(
-            k, -p, t
-        )
-    rhs = math.factorial(p) * t**p * sph * bracket
-    return _report("np", p, p, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
+    return _band_report("np", p, p, eta, tol, floor)
 
 
 def verify_identity_tail(
     p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
 ) -> ValidationReport:
-    """Tail identity (n >= p+1), exact in t = e^eta.
+    """Tail identity (n >= p+1): p_frak(n) against log_tail_coefficient.
 
     Also checks the equivalent inverse-power rewriting: with q = p+1, the
     coefficient of cos(n psi) in (cosh eta - cos psi)^{-q} equals
-    eps_n (-1)^q e^{-n eta} re_{n,q-1} / (2 ((q-1)!)^2 sinh^{2q-1} eta).
+    eps_n (-1)^q e^{-n eta} re_{n,q-1} / (2 ((q-1)!)^2 sinh^{2q-1} eta),
+    where re_{n,p} = (n+p)!/(n-p-1)! e^{n eta} p_frak(n).
     """
     if n < p + 1:
         raise ValueError("verify_identity_tail needs n >= p+1")
-    t = Fraction(math.exp(eta))
-    lhs = sum(
-        Fraction(_sign(k + 1), n - k) * t**k * _logpoly_at_cosh(p, k, t)
-        for k in range(-p, p + 1)
-    )
-    sph = _sinh_exact(t) ** p
-    rhs = (
-        _sign(p + 1)
-        * math.factorial(p)
-        * math.factorial(n - p - 1)
-        * t**n
-        * sph
-        * legendre_p_exact(p, -n, t)
-    )
-    # re-arranged correspondence with the inverse-power series at q = p+1.
-    # The rescaled sum carries the leading 2 that lhs omits.
+    pt = ExactLegendreArg.from_eta(eta)
+    lhs = _p_frak(pt, n, p)
+    rhs = _log_tail_coefficient(pt, p, n)
     q = p + 1
-    grow = Fraction(math.factorial(n + p), math.factorial(n - p - 1))
-    re_exact = 2 * grow * lhs
-    sh = _sinh_exact(t)
-    display = Fraction(_sign(q) * neumann(n), 2 * math.factorial(q - 1) ** 2) * (
-        re_exact / (t**n * sh ** (2 * q - 1))
+    grow = math.prod(range(n - p, n + p + 1))
+    rewrite = Fraction((-1) ** q * neumann(n) * grow, 2 * math.factorial(q - 1) ** 2) * (
+        lhs / pt.sinh_pow(2 * q - 1)
     )
-    closed = (
-        Fraction(neumann(n) * math.comb(n + q - 1, q - 1))
-        * math.factorial(n)
-        * legendre_p_exact(q - 1, -n, t)
-        / sh**q
-    )
-    return _report("tail", p, n, eta, lhs, rhs, tol, floor, extra_ok=display == closed)
+    ok = lhs == rhs and rewrite == _inverse_coefficient(pt, q, n)
+    return _report("tail", p, n, eta, lhs, rhs, tol, floor, extra_ok=ok)
 
 
 def verify_re_closed_form(
     p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
 ) -> ValidationReport:
-    """Rescaled tail sum against its closed form
-    2 (-1)^{p+1} p! (p+n)! e^{n eta} sinh^p(eta) P_p^{-n}(coth eta)."""
+    """Rescaled tail sum re_frak against (n+p)!/(n-p-1)! e^{n eta} times the
+    tail coefficient, i.e. 2 (-1)^{p+1} p! (p+n)! e^{n eta} sinh^p(eta)
+    P_p^{-n}(coth eta)."""
     if n < p + 1:
         raise ValueError("verify_re_closed_form needs n >= p+1")
-    t = Fraction(math.exp(eta))
-    grow = Fraction(math.factorial(n + p), math.factorial(n - p - 1))
-    lhs = grow * _r_frak_exact(n, p, -p, p, t)
-    rhs = (
-        2
-        * _sign(p + 1)
-        * math.factorial(p)
-        * math.factorial(p + n)
-        * t**n
-        * _sinh_exact(t) ** p
-        * legendre_p_exact(p, -n, t)
-    )
+    pt = ExactLegendreArg.from_eta(eta)
+    lhs = _re_frak(pt, n, p)
+    grow = math.prod(range(n - p, n + p + 1))
+    rhs = grow * pt.exp(n) * _log_tail_coefficient(pt, p, n)
     return _report("re_closed_form", p, n, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
 
 

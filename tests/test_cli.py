@@ -159,6 +159,13 @@ def test_coeffs_oracle_nonconvergence_exits_3(capsys, monkeypatch):
     assert code == 3 and "node cap" in err
 
 
+def test_coeffs_truncation_cap_exits_3(capsys):
+    # chi this close to 1 needs more than the truncation rule's 10^6 terms
+    code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", "--p", "3",
+                             "--chi", "1.0000000000005")
+    assert code == 3 and out == "" and "non-convergence" in err
+
+
 # -- greens ---------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ Expected values below are closed forms checked independently against the
 periodic-trapezoid quadrature oracle before being frozen here."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from polyfourier import (
     power_coefficient,
     power_series,
 )
+from polyfourier.legendre import ExactLegendreArg, LegendreArg
+from polyfourier.series_limit import _log_band_coefficient, _log_tail_coefficient
 
 ETA = 0.7
 CHI = math.cosh(ETA)
@@ -175,6 +178,19 @@ def test_log_tail_ratio_approaches_geometric_decay():
             for n in range(max(p + 2, 10), 39):
                 ratio = abs(t.coeffs[n + 1] / t.coeffs[n])
                 assert abs(ratio - e(-eta)) <= 1.5 * e(-eta) * (2 * p + 1) / n
+
+
+def test_band_and_tail_match_their_exact_evaluation():
+    # relative error of the float entries against the same closed forms
+    # evaluated exactly at t = e^eta, with no absolute floor to hide behind
+    for eta in (0.2, 0.5, 1.0, 2.0, 5.0):
+        fpt, xpt = LegendreArg.from_eta(eta), ExactLegendreArg.from_eta(eta)
+        for p in range(11):
+            for n in range(51):
+                coeff = _log_band_coefficient if n <= p else _log_tail_coefficient
+                want = coeff(xpt, p, n)
+                err = abs(Fraction(coeff(fpt, p, n)) - want)
+                assert err <= Fraction(1e-11) * abs(want), (p, n, eta, float(err / want))
 
 
 def test_default_nmax_tail_bound_and_increment():
