@@ -157,8 +157,8 @@ def _coeffs_table(args):
 
 
 def _cmd_coeffs(args) -> int:
-    if not args.chi > 1.0:
-        print("coeffs needs --chi > 1", file=sys.stderr)
+    if not (args.chi > 1.0 and math.isfinite(args.chi)):
+        print("coeffs needs a finite --chi > 1", file=sys.stderr)
         return 2
     kernel, param, method, coeffs = _coeffs_table(args)
     if args.format == "csv":

@@ -20,6 +20,12 @@ works in floats: when the argument is coth(eta) the factors (z-1),
 csch eta and e^{-eta}.  ExactLegendreArg works in exact rationals at
 t = e^eta, where coth, cosh, sinh and every e^{k eta} are rational; the
 identity suite in validation evaluates the production closed forms there.
+
+A closed form that the identity suite evaluates more than once at a point
+(_legendre, _neg_order_sum, and _r_frak in series_algebraic) is called
+through pt.cached(fn, *args).  On LegendreArg that is a plain call; on
+ExactLegendreArg it memoizes the exact value on the point, keyed by the
+function object and its arguments.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ class LegendreArg:
             return math.exp(-0.5 * k * math.log(self.u * (self.z + 1.0)))
         return math.sinh(self.eta) ** k
 
+    def cached(self, fn, *args):
+        """fn(self, *args); float values are cheap to recompute, so a plain call."""
+        return fn(self, *args)
+
     def horner(self, coeffs) -> float:
         """Polynomial with exact coefficients coeffs[i] of u^i, at u."""
         u = self.u
@@ -115,12 +125,25 @@ class LegendreArg:
 class ExactLegendreArg:
     """Exact evaluation point z = coth(eta), parametrized by the rational
     t = e^eta > 1: coth, sinh, cosh and every e^{k eta} are rational in t, so
-    each closed form evaluated here is an exact Fraction."""
+    each closed form evaluated here is an exact Fraction.
+
+    The point memoizes what it computes: e^{k eta}, sinh^k(eta),
+    e^{k eta} R_p^k(cosh eta), and every closed form called through
+    cached(fn, *args), keyed by the function object and its arguments.  Each
+    value is an exact Fraction that depends only on t and that key, so a
+    memoized value is the value a fresh evaluation would return; and a
+    different function (a patched or a new closed form) is a different key,
+    so it is evaluated, never served another function's value.  The memo is
+    excluded from equality and hashing, which use t alone.  from_eta returns
+    a point shared by its callers from a cache of the two most recent eta,
+    which bounds the memory the memos hold.
+    """
 
     t: Fraction
     u: Fraction = field(init=False, repr=False, compare=False)
     x: Fraction = field(init=False, repr=False, compare=False)
     sinh: Fraction = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         t = self.t
@@ -131,7 +154,10 @@ class ExactLegendreArg:
         object.__setattr__(self, "sinh", (t * t - 1) / (2 * t))
 
     @classmethod
+    @lru_cache(maxsize=2)
     def from_eta(cls, eta: float) -> "ExactLegendreArg":
+        """The shared point at t = Fraction(e^eta); the identity suite walks
+        eta in its outer loop, so two slots keep every point it revisits."""
         return cls(Fraction(math.exp(eta)))
 
     @staticmethod
@@ -140,11 +166,19 @@ class ExactLegendreArg:
 
     total = staticmethod(sum)
 
+    def cached(self, fn, *args):
+        """fn(self, *args), evaluated once per point."""
+        key = (fn, args)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = fn(self, *args)
+        return memo[key]
+
     def exp(self, k: int) -> Fraction:
-        return self.t**k
+        return self.cached(_exact_exp, k)
 
     def sinh_pow(self, k: int) -> Fraction:
-        return self.sinh**k
+        return self.cached(_exact_sinh_pow, k)
 
     def horner(self, coeffs) -> Fraction:
         u = self.u
@@ -154,7 +188,19 @@ class ExactLegendreArg:
         return acc
 
     def scaled_logpoly(self, p: int, k: int) -> Fraction:
-        return self.t**k * logpoly_recurrence(p, k).eval_exact(self.x)
+        return self.cached(_exact_scaled_logpoly, p, k)
+
+
+def _exact_exp(pt: ExactLegendreArg, k: int) -> Fraction:
+    return pt.t**k
+
+
+def _exact_sinh_pow(pt: ExactLegendreArg, k: int) -> Fraction:
+    return pt.sinh**k
+
+
+def _exact_scaled_logpoly(pt: ExactLegendreArg, p: int, k: int) -> Fraction:
+    return pt.exp(k) * logpoly_recurrence(p, k).eval_exact(pt.x)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +261,8 @@ def _legendre(pt, p: int, m: int):
         q = pt.horner(taylor_coeffs_at1(p, m))
         return q if m == 0 else pt.sinh_pow(-m) * q
     n = -m
-    return pt.exp(-n) * pt.weight(Fraction(1, math.factorial(n))) * _neg_order_sum(pt, p, n)
+    s = pt.cached(_neg_order_sum, p, n)
+    return pt.exp(-n) * pt.weight(Fraction(1, math.factorial(n))) * s
 
 
 def legendre_p(p: int, m: int, z: float, *, eta: float | None = None) -> float:
@@ -242,7 +289,7 @@ def _degree_sum_same_order(pt, p: int, m: int):
                 math.factorial(k + 2 * m) * math.factorial(p - m),
             )
         )
-        acc += (-1) ** k * pt.weight(w) * _legendre(pt, k + m, m)
+        acc += (-1) ** k * pt.weight(w) * pt.cached(_legendre, k + m, m)
     return acc
 
 
@@ -253,7 +300,7 @@ def _degree_sum_neg_order(pt, p: int, m: int):
     acc = 0
     for k in range(m):
         w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
-        acc += (-1) ** k * pt.weight(w) * _legendre(pt, k, -m)
+        acc += (-1) ** k * pt.weight(w) * pt.cached(_legendre, k, -m)
     return acc
 
 

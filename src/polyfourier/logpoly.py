@@ -91,8 +91,10 @@ def _recurrence_row(p: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
 def logpoly_recurrence(p: int, k: int) -> LogPolynomial:
-    """R_p^k via the three-term recurrence (memoized per level)."""
+    """R_p^k via the three-term recurrence; each (p, k) is built once (the
+    polynomial is frozen, so callers share it)."""
     if p < 0 or abs(k) > p:
         raise ValueError("logpoly_recurrence needs p >= 0 and |k| <= p")
     return LogPolynomial(p, k, _recurrence_row(p)[abs(k)])

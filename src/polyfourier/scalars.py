@@ -62,10 +62,13 @@ def eta_from_chi(chi: float) -> float:
     """Inverse of cosh on (1, inf), eta = log(chi + sqrt(chi^2 - 1)).
 
     Written against chi - 1 so that accuracy is kept near chi = 1, where the
-    direct form loses half the digits of the small result.
+    direct form loses half the digits of the small result.  Every series
+    route and Geometry.eta take eta from here, so a chi that is not a finite
+    number above 1 (nan, inf) is refused once, before it can turn into nan
+    coefficients.
     """
-    if not chi > 1.0:
-        raise ValueError("eta_from_chi needs chi > 1")
+    if not (chi > 1.0 and math.isfinite(chi)):
+        raise ValueError("eta_from_chi needs a finite chi > 1")
     u = chi - 1.0
     return math.log1p(u + math.sqrt(u * (chi + 1.0)))
 

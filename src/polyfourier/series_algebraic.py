@@ -61,7 +61,7 @@ def r_frak(n: int, p: int, k1: int, k2: int, eta: float) -> float:
 def _re_frak(pt, n: int, p: int):
     if n < p + 1:
         raise ValueError("re_frak needs n >= p+1")
-    return math.prod(range(n - p, n + p + 1)) * _r_frak(pt, n, p, -p, p)
+    return math.prod(range(n - p, n + p + 1)) * pt.cached(_r_frak, n, p, -p, p)
 
 
 def re_frak(n: int, p: int, eta: float) -> float:
@@ -74,15 +74,15 @@ def _p_frak(pt, n: int, p: int):
     if n < 0 or p < 0:
         raise ValueError("p_frak needs n >= 0 and p >= 0")
     if n == 0:
-        return _r_frak(pt, 0, p, -p, -1)
+        return pt.cached(_r_frak, 0, p, -p, -1)
     if n <= p - 1:
         # middle band: reindexed terms with n + k < 0, then those with n - k > 0
-        return pt.exp(n) * _r_frak(pt, -n, p, -p, -n - 1) + pt.exp(-n) * _r_frak(
-            pt, n, p, -p, n - 1
-        )
+        neg = pt.cached(_r_frak, -n, p, -p, -n - 1)
+        pos = pt.cached(_r_frak, n, p, -p, n - 1)
+        return pt.exp(n) * neg + pt.exp(-n) * pos
     if n == p:
-        return pt.exp(-p) * _r_frak(pt, p, p, -p, p - 1)
-    return pt.exp(-n) * _r_frak(pt, n, p, -p, p)
+        return pt.exp(-p) * pt.cached(_r_frak, p, p, -p, p - 1)
+    return pt.exp(-n) * pt.cached(_r_frak, n, p, -p, p)
 
 
 def p_frak(n: int, p: int, eta: float) -> float:

@@ -69,7 +69,7 @@ def power_series(p: int, chi: float) -> FourierCoeffTable:
 def _inverse_coefficient(pt, q: int, n: int):
     # eps_n (n+q-1)!/((q-1)! n!) e^{-n eta} S_{q-1,n}(z) / sinh^q(eta)
     w = neumann(n) * math.comb(n + q - 1, q - 1)
-    return w * pt.exp(-n) * _neg_order_sum(pt, q - 1, n) / pt.sinh_pow(q)
+    return w * pt.exp(-n) * pt.cached(_neg_order_sum, q - 1, n) / pt.sinh_pow(q)
 
 
 def inverse_power_series(
@@ -92,7 +92,7 @@ def _log_tail_coefficient(pt, p: int, n: int):
     if n < p + 1:
         raise ValueError("log_tail_coefficient needs n >= p+1")
     w = Fraction(2 * (-1) ** (p + 1) * math.factorial(p), math.prod(range(n - p, n + 1)))
-    return pt.weight(w) * pt.sinh_pow(p) * pt.exp(-n) * _neg_order_sum(pt, p, n)
+    return pt.weight(w) * pt.sinh_pow(p) * pt.exp(-n) * pt.cached(_neg_order_sum, p, n)
 
 
 def log_tail_coefficient(p: int, n: int, eta: float) -> float:
@@ -109,7 +109,7 @@ def _log_band_coefficient(pt, p: int, n: int):
     # degree-digamma block: 2 psi(2p+1) - psi(p+1+n) - psi(p+1-n), exact
     dig = 2 * harmonic(2 * p) - harmonic(p + n) - harmonic(p - n)
     w = Fraction((-1) ** n * neumann(n) * fp, math.factorial(p + n)) * dig
-    terms = [pt.weight(w) * sph * _legendre(pt, p, n)]
+    terms = [pt.weight(w) * sph * pt.cached(_legendre, p, n)]
     if n <= p - 1:
         w = Fraction((-1) ** p * neumann(n) * fp, math.factorial(p + n))
         terms.append(pt.weight(w) * sph * _degree_sum_same_order(pt, p, n))

@@ -66,11 +66,14 @@ class FourierCoeffTable:
 
 
 def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:
-    """Smallest N >= p+1 with e^{-N eta} N^{2p} < tail_tol.
+    """Smallest N >= max(p+1, 4) with e^{-N eta} N^{2p} < tail_tol.
 
     The envelope e^{-n eta} n^{2p} dominates every kernel tail handled here;
-    halving tail_tol grows N by about log2 / eta.  Raises ConvergenceError
-    when N would pass 10^6.
+    halving tail_tol grows N by about log2 / eta.  Its log, -N eta + 2p log N,
+    is concave in N, so the N at which it stays at or above log(tail_tol)
+    form one run starting at max(p+1, 4), and the first N past the run is
+    found by bisection over the integers up to the cap.  Raises
+    ConvergenceError when N would pass 10^6.
     """
     if p < 0:
         raise ValueError("default_nmax needs p >= 0")
@@ -78,9 +81,22 @@ def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:
         raise ValueError("default_nmax needs eta > 0")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must be in (0, 1)")
-    n = max(p + 1, 4)
-    while -n * eta + 2 * p * math.log(n) >= math.log(tail_tol):
-        n += 1
-        if n > 10**6:
-            raise ConvergenceError("truncation rule passed its cap of 10^6 terms")
-    return n
+    log_tol = math.log(tail_tol)
+
+    def above(n: int) -> bool:
+        return -n * eta + 2 * p * math.log(n) >= log_tol
+
+    lo = max(p + 1, 4)
+    if not above(lo):
+        return lo
+    hi = 10**6
+    if lo >= hi or above(hi):
+        raise ConvergenceError("truncation rule passed its cap of 10^6 terms")
+    # above(lo) holds and above(hi) fails: keep it so while narrowing
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -11,6 +11,17 @@ t = Fraction(e^eta) (ExactLegendreArg): a true identity yields error exactly
 0.  Double precision could not do this -- at p = 10, eta = 5, n = 50 the
 left side cancels through ~13 digits.
 
+Each check takes its point from ExactLegendreArg.from_eta, which shares one
+point per eta from a cache of the two most recent eta (the suite walks eta
+in its outer loop).  The point memoizes e^{k eta}, sinh^k(eta),
+e^{k eta} R_p^k(cosh eta) and the closed forms that several checks share
+(r_frak, the Gauss sum, P_p^m), keyed by function object and arguments, so
+every exact value is computed once per eta.  A memoized value is an exact
+Fraction of t and its key, equal to a fresh evaluation, so memoizing cannot
+change a result; a patched or wrong closed form is a different function
+object and is evaluated afresh.  The identity sides compared here
+(p_frak, the band and tail coefficients) are not memoized themselves.
+
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
 estimate moves by less than tol * max(1, max|f|).  The max|f| scaling is the
@@ -126,8 +137,8 @@ def quad_fourier_coeff(
     Raises ConvergenceError if the node cap is reached before two successive
     levels agree to tol * max(1, max|f|).
     """
-    if not chi > 1.0:
-        raise ValueError("quad_fourier_coeff needs chi > 1")
+    if not (chi > 1.0 and math.isfinite(chi)):
+        raise ValueError("quad_fourier_coeff needs a finite chi > 1")
     if n < 0:
         raise ValueError("quad_fourier_coeff needs n >= 0")
     if kernel == "inverse_power" and param < 1:

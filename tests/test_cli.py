@@ -272,3 +272,20 @@ def test_console_script_is_deterministic():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.count("\n") == 14  # header + 13 rows
+
+
+@pytest.mark.parametrize(
+    "kernel_flags",
+    [
+        ("--kernel", "log", "--p", "3"),
+        ("--kernel", "log", "--p", "3", "--method", "limit"),
+        ("--kernel", "power", "--p", "2"),
+        ("--kernel", "inverse", "--q", "1"),
+        ("--kernel", "log", "--p", "3", "--nmax", "4", "--method", "oracle"),
+    ],
+)
+@pytest.mark.parametrize("chi", ["inf", "nan"])
+def test_coeffs_non_finite_chi_exits_2(capsys, kernel_flags, chi):
+    # chi = inf used to print nan rows and exit 0
+    code, out, err = run_cli(capsys, "coeffs", *kernel_flags, "--chi", chi)
+    assert code == 2 and out == "" and "finite" in err

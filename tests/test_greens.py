@@ -284,3 +284,15 @@ def test_truncation_rule_scales_with_band_and_decay():
     far = Geometry(5.0, 0.2, 9.0)
     assert li_truncation(params, near) > li_truncation(params, far)
     assert li_truncation(params, far) >= params.p + 1
+
+
+def test_infinite_chi_geometry_is_refused():
+    # an infinite transverse offset passes chi > 1; eta and both expansions
+    # must refuse it rather than return nan coefficients
+    g = Geometry(1.0, 2.0, math.inf)
+    with pytest.raises(ValueError):
+        g.eta
+    with pytest.raises(ValueError):
+        li_expansion(SolutionParams(2, 2), g)
+    with pytest.raises(ValueError):
+        hii_expansion(SolutionParams(6, 1), g)

@@ -119,3 +119,10 @@ def test_eta_chi_round_trip(eta):
 def test_neumann_weights():
     assert neumann(0) == 1
     assert all(neumann(n) == 2 for n in range(1, 6))
+
+
+def test_eta_from_chi_rejects_non_finite():
+    # inf passes chi > 1, and would become nan coefficients downstream
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            eta_from_chi(bad)

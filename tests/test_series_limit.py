@@ -13,9 +13,11 @@ import pytest
 from polyfourier import (
     default_nmax,
     inverse_power_series,
+    log_series_algebraic,
     log_series_limit,
     power_coefficient,
     power_series,
+    quad_fourier_coeff,
 )
 from polyfourier.legendre import ExactLegendreArg, LegendreArg
 from polyfourier.series_limit import _log_band_coefficient, _log_tail_coefficient
@@ -235,3 +237,22 @@ def test_log_series_is_the_degree_derivative_of_the_power_family():
                 - _real_degree_coefficient(p - h, n, z)
             ) / (2.0 * h)
             assert table.coeffs[n] == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda chi: power_series(2, chi),
+        lambda chi: inverse_power_series(1, chi),
+        lambda chi: log_series_limit(3, chi),
+        lambda chi: log_series_algebraic(3, chi),
+        lambda chi: quad_fourier_coeff("log", 3, chi, 0),
+    ],
+    ids=["power", "inverse_power", "log_limit", "log_algebraic", "quadrature"],
+)
+@pytest.mark.parametrize("chi", [math.inf, math.nan])
+def test_every_route_rejects_non_finite_chi(route, chi):
+    # before, chi = inf gave (inf, nan, nan) for the power kernel and a bare
+    # fsum error for the log kernel
+    with pytest.raises(ValueError):
+        route(chi)

@@ -1,9 +1,16 @@
 """Cross-validation machinery: quadrature oracle, exact-rational identity
 checks, route comparison, and the suite driver."""
 
+import dataclasses
+import functools
 import math
+from fractions import Fraction
 
 import pytest
+
+import polyfourier.series_algebraic as series_algebraic
+import polyfourier.series_limit as series_limit
+import polyfourier.validation as validation
 
 from polyfourier import (
     ConvergenceError,
@@ -20,6 +27,8 @@ from polyfourier import (
     verify_identity_tail,
     verify_re_closed_form,
 )
+from polyfourier.legendre import ExactLegendreArg
+from polyfourier.logpoly import LogPolynomial
 from polyfourier.validation import kernel_scale
 
 ETA = 0.8
@@ -163,3 +172,81 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     names = {r.identity for r in reports}
     assert names.isdisjoint({"n0", "np", "mid"})
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
+
+
+# -- the exact point's memo ---------------------------------------------------
+
+
+@pytest.fixture
+def cold_points():
+    """Empty the shared exact-point cache before and after the test."""
+    ExactLegendreArg.from_eta.cache_clear()
+    yield
+    ExactLegendreArg.from_eta.cache_clear()
+
+
+def _count_eval_exact(monkeypatch):
+    calls = []
+    real = LogPolynomial.eval_exact
+
+    def counting(self, x):
+        calls.append((self.p, self.k, x))
+        return real(self, x)
+
+    monkeypatch.setattr(LogPolynomial, "eval_exact", counting)
+    return calls
+
+
+SMALL_SUITE = dict(pmax=3, etas=(0.5, 1.0), nmax=8, include_oracle=False)
+
+
+def test_suite_evaluates_each_logpoly_value_once(cold_points, monkeypatch):
+    calls = _count_eval_exact(monkeypatch)
+    run_validation_suite(**SMALL_SUITE)
+    want = {
+        (p, k, ExactLegendreArg.from_eta(eta).x)
+        for eta in SMALL_SUITE["etas"]
+        for p in range(SMALL_SUITE["pmax"] + 1)
+        for k in range(-p, p + 1)
+    }
+    assert len(calls) == len(want) == len(set(calls))
+    assert set(calls) == want
+
+
+def test_suite_reports_match_on_cold_and_warm_points(cold_points, monkeypatch):
+    cold = run_validation_suite(**SMALL_SUITE)
+    calls = _count_eval_exact(monkeypatch)
+    warm = run_validation_suite(**SMALL_SUITE)
+    assert not calls  # the second run was served from the shared points
+    assert [dataclasses.astuple(r) for r in warm] == [dataclasses.astuple(r) for r in cold]
+    assert all(r.passed for r in cold)
+
+
+def _off_by_tiny(fn):
+    # same name and qualname as the real closed form: only the function
+    # object tells them apart
+    @functools.wraps(fn)
+    def wrong(*a):
+        return fn(*a) + Fraction(1, 10**30)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "module, name, check",
+    [
+        # the band coefficient itself is not memoized
+        (validation, "_log_band_coefficient", lambda eta: verify_identity_mid(3, 1, eta)),
+        # these are memoized on the point, keyed by the function object
+        (series_algebraic, "_r_frak", lambda eta: verify_identity_tail(3, 6, eta)),
+        (series_limit, "_neg_order_sum", lambda eta: verify_identity_tail(3, 6, eta)),
+        (series_limit, "_legendre", lambda eta: verify_identity_mid(3, 1, eta)),
+    ],
+    ids=["band_coefficient", "r_frak", "neg_order_sum", "legendre"],
+)
+def test_memo_cannot_hide_a_wrong_closed_form(cold_points, monkeypatch, module, name, check):
+    eta = 0.5
+    assert check(eta).passed  # the real closed forms are now memoized at eta
+    monkeypatch.setattr(module, name, _off_by_tiny(getattr(module, name)))
+    report = check(eta)
+    assert not report.passed
