@@ -12,36 +12,20 @@ from .greens import (
     li_expansion,
     li_truncation,
 )
-from .legendre import (
-    LegendreArg,
-    legendre_deg_deriv,
-    legendre_p,
-    legendre_p_exact,
-    legendre_p_nu,
-)
-from .logpoly import (
-    LogPolynomial,
-    logpoly_difference_algorithm,
-    logpoly_eval,
-    logpoly_from_genfun,
-    logpoly_recurrence,
-)
-from .scalars import beta_pd, digamma_diff, eta_from_chi, harmonic, neumann, pochhammer
-from .series_algebraic import log_series_algebraic, p_frak, q_frak, r_frak, re_frak
-from .series_limit import (
-    inverse_power_series,
-    log_series_limit,
-    power_coefficient,
-    power_series,
-)
+from .legendre import legendre_deg_deriv, legendre_p
+from .logpoly import LogPolynomial, logpoly_recurrence
+from .scalars import beta_pd, eta_from_chi, harmonic
+from .series_algebraic import log_series_algebraic
+from .series_limit import inverse_power_series, log_series_limit, power_series
 from .tables import FourierCoeffTable, default_nmax
+# the verify_* checks and reference constructions stay importable, outside __all__
 from .validation import (
     ValidationReport,
-    compare_log_routes,
-    oracle_reports,
+    legendre_p_nu,
+    logpoly_difference_algorithm,
+    logpoly_from_genfun,
     quad_fourier_coeff,
     run_validation_suite,
-    verify_axisym_dual,
     verify_identity_mid,
     verify_identity_n0,
     verify_identity_np,
@@ -55,15 +39,12 @@ __all__ = [
     "ConvergenceError",
     "FourierCoeffTable",
     "Geometry",
-    "LegendreArg",
     "LogPolynomial",
     "SolutionParams",
     "ValidationReport",
     "axisym_component",
     "beta_pd",
-    "compare_log_routes",
     "default_nmax",
-    "digamma_diff",
     "eta_from_chi",
     "greens_eval",
     "harmonic",
@@ -71,32 +52,13 @@ __all__ = [
     "inverse_power_series",
     "legendre_deg_deriv",
     "legendre_p",
-    "legendre_p_exact",
-    "legendre_p_nu",
     "li_direct",
     "li_expansion",
     "li_truncation",
     "log_series_algebraic",
     "log_series_limit",
-    "logpoly_difference_algorithm",
-    "logpoly_eval",
-    "logpoly_from_genfun",
     "logpoly_recurrence",
-    "neumann",
-    "oracle_reports",
-    "p_frak",
-    "pochhammer",
-    "power_coefficient",
     "power_series",
-    "q_frak",
     "quad_fourier_coeff",
-    "r_frak",
-    "re_frak",
     "run_validation_suite",
-    "verify_axisym_dual",
-    "verify_identity_mid",
-    "verify_identity_n0",
-    "verify_identity_np",
-    "verify_identity_tail",
-    "verify_re_closed_form",
 ]

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: logpoly (exact R_p^k tables), coeffs (kernel cosine series),
-greens (fundamental-solution values and azimuthal tables), validate (identity
-suite / cross-route / oracle reports).  Exit codes: 0 success, 1 validation
-failure, 2 usage error, 3 numerical non-convergence.  All output is
-deterministic for fixed flags; floats print with 17 significant digits.
+Subcommands: logpoly (the exact R_p^k table of the recurrence), coeffs
+(kernel cosine series), greens (fundamental-solution values and azimuthal
+tables), validate (identity suite / cross-route / oracle reports).  Exit
+codes: 0 success, 1 validation failure, 2 usage error or input out of the
+float range, 3 numerical non-convergence.  All output is deterministic for
+fixed flags; floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ import math
 import sys
 
 from .errors import ConvergenceError
-from .greens import Geometry, SolutionParams, greens_eval, hii_expansion, li_direct, li_expansion
-from .logpoly import logpoly_difference_algorithm, logpoly_from_genfun, logpoly_recurrence
+from .greens import (
+    DegenerateGeometryError,
+    Geometry,
+    SolutionParams,
+    greens_eval,
+    hii_expansion,
+    li_direct,
+    li_expansion,
+)
+from .logpoly import logpoly_recurrence
 from .scalars import eta_from_chi
 from .series_algebraic import log_series_algebraic
 from .series_limit import inverse_power_series, log_series_limit, power_series
@@ -71,37 +80,30 @@ def _cmd_logpoly(args) -> int:
     if p < 0:
         print("logpoly needs --p >= 0", file=sys.stderr)
         return 2
-    table = logpoly_difference_algorithm(p)
-    for k in range(-p, p + 1):
-        if (
-            table[k].coeffs != logpoly_recurrence(p, k).coeffs
-            or table[k].coeffs != logpoly_from_genfun(p, k).coeffs
-        ):
-            print(f"internal path disagreement at (p={p}, k={k})", file=sys.stderr)
-            return 1
+    table = [logpoly_recurrence(p, k) for k in range(-p, p + 1)]
     if args.format == "csv":
         print("p,k,degree,numerator,denominator")
-        for k in range(-p, p + 1):
-            for deg, c in enumerate(table[k].coeffs):
+        for poly in table:
+            for deg, c in enumerate(poly.coeffs):
                 if c != 0:
-                    print(f"{p},{k},{deg},{c.numerator},{c.denominator}")
+                    print(f"{p},{poly.k},{deg},{c.numerator},{c.denominator}")
     elif args.format == "json":
         rows = []
-        for k in range(-p, p + 1):
-            coeffs = ",".join(f"[{c.numerator},{c.denominator}]" for c in table[k].coeffs)
-            rows.append(f'{{"k":{k},"degree":{table[k].degree},"coefficients":[{coeffs}]}}')
+        for poly in table:
+            coeffs = ",".join(f"[{c.numerator},{c.denominator}]" for c in poly.coeffs)
+            rows.append(f'{{"k":{poly.k},"degree":{poly.degree},"coefficients":[{coeffs}]}}')
         print(f'{{"p":{p},"polynomials":[{",".join(rows)}]}}')
     else:
-        for k in range(-p, p + 1):
+        for poly in table:
             parts = []
-            for deg, c in enumerate(table[k].coeffs):
+            for deg, c in enumerate(poly.coeffs):
                 if c == 0:
                     continue
                 num, den = c.numerator, c.denominator
                 coef = f"\\frac{{{num}}}{{{den}}}" if den != 1 else f"{num}"
                 mono = "" if deg == 0 else (" x" if deg == 1 else f" x^{{{deg}}}")
                 parts.append(coef + mono)
-            print(f"R_{{{p}}}^{{{k}}}(x) = " + " + ".join(parts))
+            print(f"R_{{{p}}}^{{{poly.k}}}(x) = " + " + ".join(parts))
     return 0
 
 
@@ -202,7 +204,7 @@ def _cmd_greens(args) -> int:
     if expandable:
         try:
             geom = Geometry.from_points(x, xp)
-        except ValueError as exc:
+        except DegenerateGeometryError as exc:
             print(f"note: no azimuthal expansion ({exc})", file=sys.stderr)
             geom = None
         if geom is not None:
@@ -287,7 +289,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

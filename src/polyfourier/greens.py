@@ -13,13 +13,14 @@ kernels handled by the series modules.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .legendre import LegendreArg
 from .scalars import beta_pd, eta_from_chi
-from .series_algebraic import log_series_algebraic, p_frak
+from .series_algebraic import log_series_algebraic
 from .series_limit import (
     _log_band_coefficient,
     inverse_power_series,
@@ -41,6 +42,10 @@ __all__ = [
 ]
 
 
+class DegenerateGeometryError(ValueError):
+    """chi = 1: both points on one ring, where no azimuthal expansion converges."""
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Ring-coordinate description of a source/target pair."""
@@ -57,7 +62,7 @@ class Geometry:
         if self.perp_sq < 0.0:
             raise ValueError("perp_sq must be >= 0")
         if not self.chi > 1.0:
-            raise ValueError("degenerate geometry: chi must exceed 1")
+            raise DegenerateGeometryError("degenerate geometry: chi must exceed 1")
 
     @classmethod
     def from_points(cls, x: Sequence[float], xprime: Sequence[float]) -> "Geometry":
@@ -65,12 +70,22 @@ class Geometry:
             raise ValueError("points need equal dimension >= 2")
         R = math.hypot(x[0], x[1])
         Rp = math.hypot(xprime[0], xprime[1])
-        perp = sum((a - b) ** 2 for a, b in zip(x[2:], xprime[2:]))
+        try:
+            perp = sum((a - b) ** 2 for a, b in zip(x[2:], xprime[2:]))
+        except OverflowError:
+            raise ValueError("transverse offset out of the float range") from None
         return cls(R, Rp, perp, math.atan2(x[1], x[0]), math.atan2(xprime[1], xprime[0]))
 
     @property
     def chi(self) -> float:
-        return (self.R**2 + self.Rprime**2 + self.perp_sq) / (2.0 * self.R * self.Rprime)
+        """Raises ValueError where a square overflows or the ratio is not a number."""
+        try:
+            chi = (self.R**2 + self.Rprime**2 + self.perp_sq) / (2.0 * self.R * self.Rprime)
+        except (OverflowError, ZeroDivisionError):
+            chi = math.nan
+        if math.isnan(chi):
+            raise ValueError("ring coordinates out of the float range: chi cannot be formed")
+        return chi
 
     @property
     def eta(self) -> float:
@@ -118,11 +133,30 @@ def _dist(x: Sequence[float], xprime: Sequence[float]) -> float:
     if len(x) != len(xprime):
         raise ValueError("points need equal dimension")
     r = math.dist(x, xprime)
+    if not math.isfinite(r):
+        raise ValueError("points need finite coordinates and a finite distance")
     if r <= 0.0:
         raise ValueError("points must be distinct")
     return r
 
 
+def _in_float_range(fn):
+    """fn, with an overflow or a result that is not finite raised as ValueError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{fn.__name__} overflows double precision")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Fundamental solution value; logarithmic branch for even d with
     k >= d/2, pure power branch otherwise."""
@@ -140,6 +174,7 @@ def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[flo
     return num * r ** (2 * k - d) / denom
 
 
+@_in_float_range
 def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Logarithmic radial profile r^{2k-d} (log r - beta_{p,d}); it carries
     the solution's whole r-dependence in the logarithmic regime."""
@@ -194,25 +229,22 @@ def hii_expansion(
     return FourierCoeffTable("hii", q, geom.chi, htab.eta, "closed_form", coeffs)
 
 
-def axisym_component(params: SolutionParams, geom: Geometry, form: str = "legendre") -> float:
-    """Axisymmetric (n = 0) coefficient of li_expansion, by either closed form.
-
-    form='legendre' uses the limit route's band coefficient (Legendre
-    evaluations with digamma weights); form='logpoly' uses the algebraic
-    route's alternating sum of e^{-k eta} R_p^k.  Each is added to the shared
-    power term, and both equal li_expansion(...).coeffs[0].
-    """
+def _axisym_assemble(params: SolutionParams, geom: Geometry, g: float) -> float:
+    """n = 0 coefficient of li_expansion from the n = 0 log-kernel entry g
+    without its (eta - log 2) power term: g plus the shared power term."""
     p = params.p
     eta = geom.eta
-    if form == "legendre":
-        g = _log_band_coefficient(LegendreArg.from_eta(eta), p, 0)
-    elif form == "logpoly":
-        g = p_frak(0, p, eta)
-    else:
-        raise ValueError("form must be 'legendre' or 'logpoly'")
     w = math.log(geom.R * geom.Rprime) + eta - 2.0 * float(beta_pd(p, params.d))
     scale = (2.0 * geom.R * geom.Rprime) ** p
     return scale * 0.5 * (w * power_coefficient(p, 0, eta) + g)
+
+
+def axisym_component(params: SolutionParams, geom: Geometry) -> float:
+    """Axisymmetric (n = 0) coefficient of li_expansion, from the limit
+    route's band coefficient (Legendre evaluations with digamma weights) plus
+    the power term; it equals li_expansion(...).coeffs[0]."""
+    g = _log_band_coefficient(LegendreArg.from_eta(geom.eta), params.p, 0)
+    return _axisym_assemble(params, geom, g)
 
 
 def li_truncation(params: SolutionParams, geom: Geometry, tail_tol: float = 1e-10) -> int:

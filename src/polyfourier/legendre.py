@@ -1,6 +1,7 @@
 """Associated Legendre functions of the first kind on the real axis z > 1,
 for integer degree and any integer order, plus degree-derivatives at integer
-degree and a slow general-degree evaluator used as an oracle.
+degree.  The real-degree series that checks the degree-derivatives is a
+reference construction in validation.
 
 Evaluation strategy (all branches are cancellation-free for z > 1):
 
@@ -35,15 +36,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ConvergenceError
 from .logpoly import logpoly_eval, logpoly_recurrence
-from .scalars import eta_from_chi, harmonic
+from .scalars import harmonic
 
 __all__ = [
     "ExactLegendreArg",
     "LegendreArg",
     "legendre_p",
-    "legendre_p_nu",
     "legendre_deg_deriv",
     "legendre_p_exact",
     "neg_order_sum",
@@ -74,11 +73,6 @@ class LegendreArg:
                 raise ValueError("LegendreArg needs eta > 0")
             u = 2.0 / math.expm1(2.0 * self.eta)
         object.__setattr__(self, "u", u)
-
-    @classmethod
-    def from_chi(cls, chi: float) -> "LegendreArg":
-        eta = eta_from_chi(chi)
-        return cls(z=chi / math.sqrt((chi - 1.0) * (chi + 1.0)), eta=eta)
 
     @classmethod
     def from_eta(cls, eta: float) -> "LegendreArg":
@@ -302,32 +296,6 @@ def _degree_sum_neg_order(pt, p: int, m: int):
         w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
         acc += (-1) ** k * pt.weight(w) * pt.cached(_legendre, k, -m)
     return acc
-
-
-def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> float:
-    """P_nu^m(z) for real degree nu, integer order m <= 0, z in (1, 3).
-
-    Gauss series about z = 1; the term ratio tends to (z-1)/2, so convergence
-    requires z < 3.  Slow but independent of the integer-degree code; used as
-    the oracle for degree-derivatives.
-    """
-    if m > 0:
-        raise ValueError("legendre_p_nu handles m <= 0 only")
-    if not 1.0 < z < 3.0:
-        raise ValueError("legendre_p_nu needs z in (1, 3)")
-    n = -m
-    w = (1.0 - z) / 2.0
-    term = 1.0
-    total = 1.0
-    for j in range(max_terms):
-        term *= (j - nu) * (nu + 1 + j) * w / ((j + 1) * (1 + n + j))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) and j > nu:
-            break
-    else:
-        raise ConvergenceError("legendre_p_nu hit the term cap")
-    pref = math.exp(0.5 * n * math.log((z - 1.0) / (z + 1.0))) / math.gamma(1 + n)
-    return pref * total
 
 
 def legendre_deg_deriv(p: int, m: int, z: float) -> float:

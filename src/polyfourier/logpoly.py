@@ -6,12 +6,11 @@ expansion of (x - cos psi)^p log(x - cos psi).  The family is determined by
     R_0^0 = 1,
     R_p^k = 1/2 R_{p-1}^{k-1} + x R_{p-1}^k + 1/2 R_{p-1}^{k+1},
 
-with R_p^k = 0 for |k| > p.  Equivalent constructions implemented here:
-
-* the three-term recurrence above (production path),
-* a difference scheme in the diagonal variables a_n(p) = R_p^{p-n},
-* multinomial extraction from the generating function (x + (y + 1/y)/2)^p,
-  which is the reference path.
+with R_p^k = 0 for |k| > p.  This module builds the family by that
+recurrence, row by row, and evaluates it in double precision or exactly.
+Two independent constructions (a difference scheme in the diagonal variables
+and multinomial extraction from the generating function) live in validation
+as reference constructions; the tests require exact agreement with them.
 
 All coefficients are exact rationals.  Symmetry R_p^k = R_p^{-k} and degree
 p - |k| hold by construction and are asserted in tests.
@@ -19,7 +18,6 @@ p - |k| hold by construction and are asserted in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,8 +25,6 @@ from functools import lru_cache
 __all__ = [
     "LogPolynomial",
     "logpoly_recurrence",
-    "logpoly_difference_algorithm",
-    "logpoly_from_genfun",
     "logpoly_eval",
 ]
 
@@ -98,55 +94,6 @@ def logpoly_recurrence(p: int, k: int) -> LogPolynomial:
     if p < 0 or abs(k) > p:
         raise ValueError("logpoly_recurrence needs p >= 0 and |k| <= p")
     return LogPolynomial(p, k, _recurrence_row(p)[abs(k)])
-
-
-def logpoly_difference_algorithm(p: int) -> dict[int, LogPolynomial]:
-    """Full level-p table solved as a difference scheme in a_n = R_p^{p-n}.
-
-    Interior update a_n(m) = 1/2 a_n(m-1) + x a_{n-1}(m-1) + 1/2 a_{n-2}(m-1);
-    the diagonal entry folds the k-symmetry, a_m(m) = x a_{m-1}(m-1) + a_{m-2}(m-1).
-    """
-    if p < 0:
-        raise ValueError("logpoly_difference_algorithm needs p >= 0")
-    # level[n] holds the coefficient tuple of a_n(m) while sweeping m = 0..p
-    level: list[tuple[Fraction, ...]] = [(Fraction(1),)]
-    for m in range(1, p + 1):
-        nxt: list[tuple[Fraction, ...]] = []
-        for n in range(m):
-            out = [Fraction(0)] * (n + 1)
-            _shift_add(out, level[n], 0, _HALF)
-            if n >= 1:
-                _shift_add(out, level[n - 1], 1, Fraction(1))
-            if n >= 2:
-                _shift_add(out, level[n - 2], 0, _HALF)
-            nxt.append(tuple(out))
-        out = [Fraction(0)] * (m + 1)
-        _shift_add(out, level[m - 1], 1, Fraction(1))
-        if m >= 2:
-            _shift_add(out, level[m - 2], 0, Fraction(1))
-        nxt.append(tuple(out))
-        level = nxt
-    table = {}
-    for k in range(-p, p + 1):
-        table[k] = LogPolynomial(p, k, level[p - abs(k)])
-    return table
-
-
-def logpoly_from_genfun(p: int, k: int) -> LogPolynomial:
-    """R_p^k by multinomial extraction of the y^k coefficient of
-    (x + (y + 1/y)/2)^p; the reference construction."""
-    if p < 0 or abs(k) > p:
-        raise ValueError("logpoly_from_genfun needs p >= 0 and |k| <= p")
-    coeffs = [Fraction(0)] * (p - abs(k) + 1)
-    fp = math.factorial(p)
-    for c in range(p + 1):
-        b = c + k
-        a = p - b - c
-        if b < 0 or a < 0:
-            continue
-        w = Fraction(fp, math.factorial(a) * math.factorial(b) * math.factorial(c))
-        coeffs[a] += w / 2 ** (b + c)
-    return LogPolynomial(p, k, tuple(coeffs))
 
 
 def logpoly_eval(poly: LogPolynomial, x: float) -> float:

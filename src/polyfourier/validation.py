@@ -1,6 +1,9 @@
-"""Validation machinery: a trapezoid Fourier-coefficient oracle, exact
-verification of the reindexing identities behind the algebraic route, and
-grid drivers producing tabular reports.
+"""Validation machinery, which no production module imports: reference
+constructions, a trapezoid Fourier-coefficient oracle, exact verification of
+the reindexing identities behind the algebraic route, and grid drivers
+producing tabular reports.  The reference constructions are R_p^k by a
+difference scheme and from its generating function, and the real-degree
+series legendre_p_nu that checks legendre_deg_deriv.
 
 The reindexing identities equate the algebraic route's alternating sums of
 e^{k eta} R_p^k(cosh eta) (p_frak, re_frak) with the limit route's Legendre
@@ -39,10 +42,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .greens import Geometry, SolutionParams, axisym_component
+from .greens import Geometry, SolutionParams, _axisym_assemble, axisym_component
 from .legendre import ExactLegendreArg
+from .logpoly import _HALF, LogPolynomial, _shift_add
 from .scalars import neumann
-from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
+from .series_algebraic import _p_frak, _re_frak, log_series_algebraic, p_frak
 from .series_limit import (
     _inverse_coefficient,
     _log_band_coefficient,
@@ -55,6 +59,9 @@ from .tables import FourierCoeffTable
 
 __all__ = [
     "ValidationReport",
+    "logpoly_difference_algorithm",
+    "logpoly_from_genfun",
+    "legendre_p_nu",
     "quad_fourier_coeff",
     "verify_identity_n0",
     "verify_identity_mid",
@@ -95,6 +102,85 @@ def _report(identity, p, n, eta, lhs, rhs, tol, floor, extra_ok: bool = True):
         identity, p, n, eta, float(lhs), float(rhs), float(abs_err), float(rel_err),
         tol, floor, passed,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference constructions, independent of the production algorithms
+
+
+def logpoly_difference_algorithm(p: int) -> dict[int, LogPolynomial]:
+    """Full level-p table solved as a difference scheme in a_n = R_p^{p-n}.
+
+    Interior update a_n(m) = 1/2 a_n(m-1) + x a_{n-1}(m-1) + 1/2 a_{n-2}(m-1);
+    the diagonal entry folds the k-symmetry, a_m(m) = x a_{m-1}(m-1) + a_{m-2}(m-1).
+    """
+    if p < 0:
+        raise ValueError("logpoly_difference_algorithm needs p >= 0")
+    # level[n] holds the coefficient tuple of a_n(m) while sweeping m = 0..p
+    level: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    for m in range(1, p + 1):
+        nxt: list[tuple[Fraction, ...]] = []
+        for n in range(m):
+            out = [Fraction(0)] * (n + 1)
+            _shift_add(out, level[n], 0, _HALF)
+            if n >= 1:
+                _shift_add(out, level[n - 1], 1, Fraction(1))
+            if n >= 2:
+                _shift_add(out, level[n - 2], 0, _HALF)
+            nxt.append(tuple(out))
+        out = [Fraction(0)] * (m + 1)
+        _shift_add(out, level[m - 1], 1, Fraction(1))
+        if m >= 2:
+            _shift_add(out, level[m - 2], 0, Fraction(1))
+        nxt.append(tuple(out))
+        level = nxt
+    table = {}
+    for k in range(-p, p + 1):
+        table[k] = LogPolynomial(p, k, level[p - abs(k)])
+    return table
+
+
+def logpoly_from_genfun(p: int, k: int) -> LogPolynomial:
+    """R_p^k by multinomial extraction of the y^k coefficient of
+    (x + (y + 1/y)/2)^p; the reference construction."""
+    if p < 0 or abs(k) > p:
+        raise ValueError("logpoly_from_genfun needs p >= 0 and |k| <= p")
+    coeffs = [Fraction(0)] * (p - abs(k) + 1)
+    fp = math.factorial(p)
+    for c in range(p + 1):
+        b = c + k
+        a = p - b - c
+        if b < 0 or a < 0:
+            continue
+        w = Fraction(fp, math.factorial(a) * math.factorial(b) * math.factorial(c))
+        coeffs[a] += w / 2 ** (b + c)
+    return LogPolynomial(p, k, tuple(coeffs))
+
+
+def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> float:
+    """P_nu^m(z) for real degree nu, integer order m <= 0, z in (1, 3).
+
+    Gauss series about z = 1; the term ratio tends to (z-1)/2, so convergence
+    requires z < 3.  Slow but independent of the integer-degree code; used as
+    the oracle for degree-derivatives.
+    """
+    if m > 0:
+        raise ValueError("legendre_p_nu handles m <= 0 only")
+    if not 1.0 < z < 3.0:
+        raise ValueError("legendre_p_nu needs z in (1, 3)")
+    n = -m
+    w = (1.0 - z) / 2.0
+    term = 1.0
+    total = 1.0
+    for j in range(max_terms):
+        term *= (j - nu) * (nu + 1 + j) * w / ((j + 1) * (1 + n + j))
+        total += term
+        if abs(term) <= 1e-17 * abs(total) and j > nu:
+            break
+    else:
+        raise ConvergenceError("legendre_p_nu hit the term cap")
+    pref = math.exp(0.5 * n * math.log((z - 1.0) / (z + 1.0))) / math.gamma(1 + n)
+    return pref * total
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +378,10 @@ def oracle_reports(
 def verify_axisym_dual(
     params: SolutionParams, geom: Geometry, tol: float = 1e-10, floor: float = 1e-12
 ) -> ValidationReport:
-    """Agreement of the two closed forms of the axisymmetric coefficient."""
-    lhs = axisym_component(params, geom, form="legendre")
-    rhs = axisym_component(params, geom, form="logpoly")
+    """Agreement of the two closed forms of the axisymmetric coefficient:
+    axisym_component against the algebraic route's p_frak(0) assembled alike."""
+    lhs = axisym_component(params, geom)
+    rhs = _axisym_assemble(params, geom, p_frak(0, params.p, geom.eta))
     return _report("axisym_dual", params.p, 0, geom.eta, lhs, rhs, tol, floor)
 
 

@@ -1,0 +1,61 @@
+"""The public API and the layering: __all__ lists what a user calls, the
+checkers live in validation and no production module imports it, and the
+README's examples run."""
+
+import ast
+import doctest
+from pathlib import Path
+
+import polyfourier
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = [
+    "ConvergenceError", "FourierCoeffTable", "Geometry", "LogPolynomial",
+    "SolutionParams", "ValidationReport",
+    "axisym_component", "beta_pd", "default_nmax", "eta_from_chi", "greens_eval",
+    "harmonic", "hii_expansion",
+    "inverse_power_series", "legendre_deg_deriv", "legendre_p", "li_direct",
+    "li_expansion", "li_truncation",
+    "log_series_algebraic", "log_series_limit", "logpoly_recurrence", "power_series",
+    "quad_fourier_coeff", "run_validation_suite",
+]
+
+PRODUCTION = ("scalars", "logpoly", "legendre", "series_algebraic", "series_limit",
+              "tables", "greens")
+
+
+def test_all_is_the_public_api():
+    assert sorted(polyfourier.__all__) == sorted(PUBLIC)
+    assert len(PUBLIC) == 25
+    for name in PUBLIC:
+        assert getattr(polyfourier, name) is not None
+
+
+def test_star_import_binds_exactly_the_public_api():
+    namespace = {}
+    exec("from polyfourier import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC)
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+
+
+def test_production_modules_do_not_import_validation():
+    src = ROOT / "src" / "polyfourier"
+    for name in PRODUCTION:
+        imported = list(_imported_modules(src / f"{name}.py"))
+        assert imported, name
+        assert not [m for m in imported if "validation" in m.split(".")], name
+
+
+def test_readme_examples_run():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted >= 10 and result.failed == 0

@@ -219,6 +219,18 @@ def test_greens_usage_errors(capsys):
     assert code == 2  # coincident points
 
 
+@pytest.mark.parametrize("d,k,x,xp", [
+    ("2", "1", "nan,0", "1,0"),  # a nan coordinate gave value,nan and exit 0
+    ("2", "1", "1e200,0", "1,0"),  # R**2 in Geometry.chi overflowed
+    ("2", "2", "1e160,0", "1,0"),  # r**(2k-d) in greens_eval overflowed
+    ("4", "2", "1,0,1e200,0", "1,0,0,0"),  # the transverse offset's square overflowed
+    ("2", "11", "1.24e15,0", "3.24e15,0"),  # (2RR')**p in li_expansion overflows
+])
+def test_greens_out_of_range_points_exit_2(capsys, d, k, x, xp):
+    code, out, err = run_cli(capsys, "greens", "--d", d, "--k", k, "--x", x, "--xp", xp)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 # -- validate ---------------------------------------------------------------------
 
 

@@ -19,6 +19,8 @@ from polyfourier import (
     li_expansion,
     li_truncation,
 )
+from polyfourier.greens import DegenerateGeometryError
+from polyfourier.validation import verify_axisym_dual
 
 PI = math.pi
 
@@ -269,13 +271,10 @@ def test_axisym_forms_agree_and_match_table_entry():
     for p in range(4):
         params = SolutionParams(2, p + 1)
         g = Geometry(1.7, 0.6, 0.4)
-        a = axisym_component(params, g, form="legendre")
-        b = axisym_component(params, g, form="logpoly")
+        a = axisym_component(params, g)
         c = li_expansion(params, g, nmax=max(10, p + 1)).coeffs[0]
-        assert a == pytest.approx(b, rel=1e-12)
+        assert verify_axisym_dual(params, g, tol=1e-12, floor=1e-12).passed
         assert a == pytest.approx(c, rel=1e-10)
-    with pytest.raises(ValueError):
-        axisym_component(SolutionParams(2, 1), g, form="mean")
 
 
 def test_truncation_rule_scales_with_band_and_decay():
@@ -284,6 +283,25 @@ def test_truncation_rule_scales_with_band_and_decay():
     far = Geometry(5.0, 0.2, 9.0)
     assert li_truncation(params, near) > li_truncation(params, far)
     assert li_truncation(params, far) >= params.p + 1
+
+
+def test_out_of_float_range_is_a_value_error():
+    # R**2 overflows, 2 R R' underflows to 0, or chi is inf/inf: none of these
+    # is the degenerate geometry the CLI reports as a note
+    for bad in ((1e200, 1.0, 0.0), (1e-200, 1e-200, 0.0), (1e154, 1e154, 0.0)):
+        with pytest.raises(ValueError) as info:
+            Geometry(*bad)
+        assert not isinstance(info.value, DegenerateGeometryError)
+    with pytest.raises(DegenerateGeometryError):
+        Geometry(1.0, 1.0, 0.0)
+    params = SolutionParams(2, 2)
+    for fn in (greens_eval, li_direct):
+        with pytest.raises(ValueError):
+            fn(params, (1e160, 0.0), (1.0, 0.0))
+        with pytest.raises(ValueError):
+            fn(params, (math.nan, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError):
+        greens_eval(SolutionParams(2, 300), (1.5, 0.0), (0.0, 0.0))
 
 
 def test_infinite_chi_geometry_is_refused():

@@ -6,14 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polyfourier import (
-    beta_pd,
-    digamma_diff,
-    eta_from_chi,
-    harmonic,
-    neumann,
-    pochhammer,
-)
+from polyfourier import beta_pd, eta_from_chi, harmonic
+from polyfourier.scalars import digamma_diff, neumann, pochhammer
 
 
 def test_harmonic_values():

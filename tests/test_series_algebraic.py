@@ -13,15 +13,8 @@ import math
 
 import pytest
 
-from polyfourier import (
-    log_series_algebraic,
-    log_series_limit,
-    p_frak,
-    power_series,
-    q_frak,
-    r_frak,
-    re_frak,
-)
+from polyfourier import log_series_algebraic, log_series_limit, power_series
+from polyfourier.series_algebraic import p_frak, q_frak, r_frak, re_frak
 
 ETA = 0.7
 CHI = math.cosh(ETA)
@@ -75,7 +68,7 @@ def test_q_equals_p_beyond_the_band():
 
 
 def test_q_adds_log_weighted_power_coefficient_inside_band():
-    from polyfourier import power_coefficient
+    from polyfourier.series_limit import power_coefficient
 
     for p in range(4):
         for n in range(p + 1):

@@ -15,12 +15,15 @@ from polyfourier import (
     inverse_power_series,
     log_series_algebraic,
     log_series_limit,
-    power_coefficient,
     power_series,
     quad_fourier_coeff,
 )
 from polyfourier.legendre import ExactLegendreArg, LegendreArg
-from polyfourier.series_limit import _log_band_coefficient, _log_tail_coefficient
+from polyfourier.series_limit import (
+    _log_band_coefficient,
+    _log_tail_coefficient,
+    power_coefficient,
+)
 
 ETA = 0.7
 CHI = math.cosh(ETA)
@@ -213,7 +216,7 @@ def _real_degree_coefficient(nu: float, n: int, z: float) -> float:
     At integer nu the product annihilates n > nu, recovering the finite table;
     the nu-derivative at nu = p therefore gives the log-kernel coefficients.
     """
-    from polyfourier import legendre_p_nu
+    from polyfourier.validation import legendre_p_nu
 
     eps = 1.0 if n == 0 else 2.0
     sinh_eta = 1.0 / math.sqrt(z * z - 1.0)

@@ -16,10 +16,15 @@ from polyfourier import (
     ConvergenceError,
     Geometry,
     SolutionParams,
-    compare_log_routes,
-    oracle_reports,
     quad_fourier_coeff,
     run_validation_suite,
+)
+from polyfourier.legendre import ExactLegendreArg
+from polyfourier.logpoly import LogPolynomial
+from polyfourier.validation import (
+    compare_log_routes,
+    kernel_scale,
+    oracle_reports,
     verify_axisym_dual,
     verify_identity_mid,
     verify_identity_n0,
@@ -27,9 +32,6 @@ from polyfourier import (
     verify_identity_tail,
     verify_re_closed_form,
 )
-from polyfourier.legendre import ExactLegendreArg
-from polyfourier.logpoly import LogPolynomial
-from polyfourier.validation import kernel_scale
 
 ETA = 0.8
 CHI = math.cosh(ETA)
