@@ -230,8 +230,8 @@ def hii_expansion(
 
 
 def _axisym_assemble(params: SolutionParams, geom: Geometry, g: float) -> float:
-    """n = 0 coefficient of li_expansion from the n = 0 log-kernel entry g
-    without its (eta - log 2) power term: g plus the shared power term."""
+    """n = 0 coefficient of li_expansion, given g: the n = 0 log-kernel
+    coefficient without its (eta - log 2)-weighted power term."""
     p = params.p
     eta = geom.eta
     w = math.log(geom.R * geom.Rprime) + eta - 2.0 * float(beta_pd(p, params.d))
