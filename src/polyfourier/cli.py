@@ -4,14 +4,17 @@ Subcommands: logpoly (the exact R_p^k table of the recurrence), coeffs
 (kernel cosine series), greens (fundamental-solution values and azimuthal
 tables), validate (identity suite / cross-route / oracle reports).  Exit
 codes: 0 success, 1 validation failure, 2 usage error or input out of the
-float range, 3 numerical non-convergence.  All output is deterministic for
-fixed flags; floats print with 17 significant digits.
+float range, 3 numerical non-convergence, 141 stdout closed by its reader
+(128 + SIGPIPE, what a shell reports for a process SIGPIPE killed).  All
+output is deterministic for fixed flags; floats print with 17 significant
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import ConvergenceError
@@ -285,7 +288,14 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): send the rest of stdout,
+        # including the interpreter's final flush, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return 3

@@ -203,7 +203,10 @@ def li_expansion(
         raise ValueError("method must be 'algebraic' or 'limit'")
     ftab = power_series(p, chi)
     two_rr = 2.0 * geom.R * geom.Rprime
-    scale = two_rr**p
+    try:
+        scale = two_rr**p
+    except OverflowError:
+        raise ValueError("li_expansion: (2RR')^p overflows double precision") from None
     w = 0.5 * math.log(two_rr) - float(beta_pd(p, params.d))
     coeffs = []
     for n, g in enumerate(gtab.coeffs):

@@ -16,11 +16,13 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
 
 Each closed form here, and those of the series routes built on it, is
 written once over an evaluation point that owns the arithmetic.  LegendreArg
-works in floats: when the argument is coth(eta) the factors (z-1),
-(z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} take the stable forms 2/expm1(2 eta),
-csch eta and e^{-eta}.  ExactLegendreArg works in exact rationals at
-t = e^eta, where coth, cosh, sinh and every e^{k eta} are rational; the
-identity suite in validation evaluates the production closed forms there.
+is one float point, z = coth(eta), that holds eta and u = z - 1: the factors
+(z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} are csch eta and e^{-eta}, and the
+positive-term sums run in u.  from_eta sets u = 2/expm1(2 eta); from_z, behind
+the z-argument functions, keeps u = z - 1 exact and sets eta = log1p(2/u)/2.
+ExactLegendreArg works in exact rationals at t = e^eta, where coth, cosh,
+sinh and every e^{k eta} are rational; the identity suite in validation
+evaluates the production closed forms there.
 
 A closed form that the identity suite evaluates more than once at a point
 (_legendre, _neg_order_sum, and _r_frak in series_algebraic) is called
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .logpoly import logpoly_eval, logpoly_recurrence
+from .logpoly import horner, logpoly_eval, logpoly_recurrence
 from .scalars import harmonic
 
 __all__ = [
@@ -52,60 +54,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LegendreArg:
-    """Float evaluation point z > 1, and the arithmetic the closed forms use.
+    """Float evaluation point z = coth(eta) > 1, holding eta and u = z - 1.
 
-    Given eta, z = coth(eta) and every factor takes its eta-stable form:
-    u = z - 1 = 2/expm1(2 eta), e^{k eta} and sinh^k(eta); z itself is then
-    informational.  With eta None the factors are formed from z.
+    e^{k eta} and sinh^k(eta) come from eta; the Taylor and Gauss sums run in
+    u.  from_eta sets u = 2/expm1(2 eta); from_z keeps u = z - 1 exact, which
+    those sums need near z = 1, and sets eta = log1p(2/u)/2.
     """
 
-    z: float
-    eta: float | None
-    u: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.eta is None:
-            if not self.z > 1.0:
-                raise ValueError("LegendreArg needs z > 1")
-            u = self.z - 1.0
-        else:
-            if not self.eta > 0.0:
-                raise ValueError("LegendreArg needs eta > 0")
-            u = 2.0 / math.expm1(2.0 * self.eta)
-        object.__setattr__(self, "u", u)
+    eta: float
+    u: float
 
     @classmethod
     def from_eta(cls, eta: float) -> "LegendreArg":
         if not eta > 0.0:
             raise ValueError("from_eta needs eta > 0")
-        return cls(z=1.0 / math.tanh(eta), eta=eta)
+        return cls(eta, 2.0 / math.expm1(2.0 * eta))
+
+    @classmethod
+    def from_z(cls, z: float) -> "LegendreArg":
+        if not (z > 1.0 and math.isfinite(z)):
+            raise ValueError("from_z needs a finite z > 1")
+        u = z - 1.0
+        return cls(0.5 * math.log1p(2.0 / u), u)
 
     weight = staticmethod(float)
     total = staticmethod(math.fsum)
 
     def exp(self, k: int) -> float:
-        """e^{k eta} = ((z+1)/(z-1))^{k/2}."""
-        if self.eta is None:
-            return math.exp(-0.5 * k * math.log(self.u / (self.z + 1.0)))
         return math.exp(k * self.eta)
 
     def sinh_pow(self, k: int) -> float:
-        """sinh^k(eta) = (z^2-1)^{-k/2}."""
-        if self.eta is None:
-            return math.exp(-0.5 * k * math.log(self.u * (self.z + 1.0)))
         return math.sinh(self.eta) ** k
 
     def cached(self, fn, *args):
         """fn(self, *args); float values are cheap to recompute, so a plain call."""
         return fn(self, *args)
-
-    def horner(self, coeffs) -> float:
-        """Polynomial with exact coefficients coeffs[i] of u^i, at u."""
-        u = self.u
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * u + float(c)
-        return acc
 
     def scaled_logpoly(self, p: int, k: int) -> float:
         """e^{k eta} R_p^k(cosh eta), formed as exp(k eta + log R) when R > 0."""
@@ -174,13 +157,6 @@ class ExactLegendreArg:
     def sinh_pow(self, k: int) -> Fraction:
         return self.cached(_exact_sinh_pow, k)
 
-    def horner(self, coeffs) -> Fraction:
-        u = self.u
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * u + c
-        return acc
-
     def scaled_logpoly(self, p: int, k: int) -> Fraction:
         return self.cached(_exact_scaled_logpoly, p, k)
 
@@ -242,7 +218,7 @@ def neg_order_sum(p: int, n: int, z: float) -> float:
     P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} S_{p,n}(z) / n!; callers that must avoid
     under/overflow fold the exponential prefactor and 1/n! analytically.
     """
-    return _neg_order_sum(LegendreArg(z, None), p, n)
+    return _neg_order_sum(LegendreArg.from_z(z), p, n)
 
 
 def _legendre(pt, p: int, m: int):
@@ -252,17 +228,16 @@ def _legendre(pt, p: int, m: int):
     if m > p:
         return pt.weight(Fraction(0))
     if m >= 0:
-        q = pt.horner(taylor_coeffs_at1(p, m))
+        q = horner(taylor_coeffs_at1(p, m), pt.u, pt.weight)
         return q if m == 0 else pt.sinh_pow(-m) * q
     n = -m
     s = pt.cached(_neg_order_sum, p, n)
     return pt.exp(-n) * pt.weight(Fraction(1, math.factorial(n))) * s
 
 
-def legendre_p(p: int, m: int, z: float, *, eta: float | None = None) -> float:
-    """P_p^m(z) for integer degree p >= 0, any integer order m, z > 1;
-    pass eta with z = coth(eta) for the eta-stable forms."""
-    return _legendre(LegendreArg(z, eta), p, m)
+def legendre_p(p: int, m: int, z: float) -> float:
+    """P_p^m(z) for integer degree p >= 0, any integer order m, finite z > 1."""
+    return _legendre(LegendreArg.from_z(z), p, m)
 
 
 def legendre_p_exact(p: int, m: int, t: Fraction) -> Fraction:
@@ -309,9 +284,7 @@ def legendre_deg_deriv(p: int, m: int, z: float) -> float:
         raise ValueError("legendre_deg_deriv needs p >= 0")
     if m < 0:
         raise ValueError("legendre_deg_deriv handles m >= 0 only")
-    if not z > 1.0:
-        raise ValueError("legendre_deg_deriv needs z > 1")
-    pt = LegendreArg(z, None)
+    pt = LegendreArg.from_z(z)
     if m >= p + 1:
         w = math.factorial(p + m) * math.factorial(m - p - 1)
         return (-1) ** (p + m + 1) * w * _legendre(pt, p, -m)

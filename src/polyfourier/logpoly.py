@@ -24,11 +24,21 @@ from functools import lru_cache
 
 __all__ = [
     "LogPolynomial",
+    "horner",
     "logpoly_recurrence",
     "logpoly_eval",
 ]
 
 _HALF = Fraction(1, 2)
+
+
+def horner(coeffs, x, weight):
+    """sum_i coeffs[i] x^i by Horner's rule, each coefficient cast by weight
+    (float for a double-precision value, Fraction for an exact one)."""
+    acc = weight(0)
+    for c in reversed(coeffs):
+        acc = acc * x + weight(c)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,7 @@ class LogPolynomial:
         return self.p - abs(self.k)
 
     def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x, Fraction)
 
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -98,7 +105,4 @@ def logpoly_recurrence(p: int, k: int) -> LogPolynomial:
 
 def logpoly_eval(poly: LogPolynomial, x: float) -> float:
     """Horner evaluation of the exact coefficients in double precision."""
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * x + float(c)
-    return acc
+    return horner(poly.coeffs, x, float)

@@ -62,15 +62,19 @@ def eta_from_chi(chi: float) -> float:
     """Inverse of cosh on (1, inf), eta = log(chi + sqrt(chi^2 - 1)).
 
     Written against chi - 1 so that accuracy is kept near chi = 1, where the
-    direct form loses half the digits of the small result.  Every series
-    route and Geometry.eta take eta from here, so a chi that is not a finite
-    number above 1 (nan, inf) is refused once, before it can turn into nan
-    coefficients.
+    direct form loses half the digits of the small result.  Past chi ~ 1.3e154
+    the product (chi - 1)(chi + 1) overflows, and there math.acosh, which
+    has no such product, gives eta.  Every series route and Geometry.eta
+    take eta from here, so a chi that is not a finite number above 1 (nan,
+    inf) is refused once, before it can turn into nan coefficients.
     """
     if not (chi > 1.0 and math.isfinite(chi)):
         raise ValueError("eta_from_chi needs a finite chi > 1")
     u = chi - 1.0
-    return math.log1p(u + math.sqrt(u * (chi + 1.0)))
+    square = u * (chi + 1.0)
+    if math.isinf(square):
+        return math.acosh(chi)
+    return math.log1p(u + math.sqrt(square))
 
 
 def neumann(n: int) -> int:

@@ -22,7 +22,7 @@ import math
 
 from .legendre import LegendreArg
 from .scalars import eta_from_chi
-from .series_limit import power_coefficient
+from .series_limit import _log_power_term
 from .tables import FourierCoeffTable, default_nmax
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "q_frak",
     "log_series_algebraic",
 ]
-
-_LOG2 = math.log(2.0)
 
 
 def _r_frak(pt, n: int, p: int, k1: int, k2: int):
@@ -100,7 +98,7 @@ def p_frak(n: int, p: int, eta: float) -> float:
 def _q_frak(pt: LegendreArg, n: int, p: int) -> float:
     out = _p_frak(pt, n, p)
     if n <= p:
-        out += (pt.eta - _LOG2) * power_coefficient(p, n, pt.eta)
+        out += _log_power_term(pt, p, n)
     return out
 
 

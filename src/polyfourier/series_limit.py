@@ -9,12 +9,14 @@ For chi = cosh eta > 1 and psi the azimuth difference:
   the Legendre degree/order derivatives into finite combinations of Legendre
   evaluations at shifted integer parameters plus one explicit tail family.
 
-Every rational weight is accumulated as a Fraction and rounded once by the
-evaluation point; Legendre factors are evaluated in the eta-stable forms.  The
-band, tail and inverse-power closed forms take that point as an argument, so
-the identity suite evaluates this same code at the exact point.  Tail terms n >= p+1 combine
-(n-p-1)!/n!, e^{-n eta} and the positive Gauss sum so that nothing overflows
-for large n eta.
+Every Legendre value is taken at coth eta.  Each table builds one
+evaluation point from eta (see legendre), and every closed form here (power,
+band, tail and inverse-power coefficient) takes that point as an argument,
+so the identity suite evaluates this same code at the exact point.  Every
+rational weight is accumulated as a Fraction and rounded once by the point.
+The power term (eta - log 2) f_n, which both log routes add for n <= p, is
+written once here.  Tail terms n >= p+1 combine (n-p-1)!/n!, e^{-n eta} and
+the positive Gauss sum so that nothing overflows for large n eta.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .legendre import (
     _degree_sum_same_order,
     _legendre,
     _neg_order_sum,
-    legendre_p,
 )
 from .scalars import eta_from_chi, harmonic, neumann, pochhammer
 from .tables import FourierCoeffTable, default_nmax
@@ -44,17 +45,23 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
-def _coth(eta: float) -> float:
-    return 1.0 / math.tanh(eta)
+def _power_coefficient(pt, p: int, n: int):
+    if not 0 <= n <= p:
+        raise ValueError("power_coefficient needs 0 <= n <= p")
+    w = Fraction(neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
+    return pt.weight(w) * pt.sinh_pow(p) * pt.cached(_legendre, p, n)
 
 
 def power_coefficient(p: int, n: int, eta: float) -> float:
     """Coefficient of cos(n psi) in (cosh eta - cos psi)^p, 0 <= n <= p:
     eps_n (-p)_n (p-n)!/(p+n)! sinh^p(eta) P_p^n(coth eta)."""
-    if not 0 <= n <= p:
-        raise ValueError("power_coefficient needs 0 <= n <= p")
-    w = Fraction(neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
-    return float(w) * math.sinh(eta) ** p * legendre_p(p, n, _coth(eta), eta=eta)
+    return _power_coefficient(LegendreArg.from_eta(eta), p, n)
+
+
+def _log_power_term(pt: LegendreArg, p: int, n: int) -> float:
+    """(eta - log 2) f_n, the power-series term both log routes carry for
+    0 <= n <= p; log 2 is irrational, so it exists at the float point only."""
+    return (pt.eta - _LOG2) * _power_coefficient(pt, p, n)
 
 
 def power_series(p: int, chi: float) -> FourierCoeffTable:
@@ -62,7 +69,8 @@ def power_series(p: int, chi: float) -> FourierCoeffTable:
     if p < 0:
         raise ValueError("power_series needs p >= 0")
     eta = eta_from_chi(chi)
-    coeffs = tuple(power_coefficient(p, n, eta) for n in range(p + 1))
+    pt = LegendreArg.from_eta(eta)
+    coeffs = tuple(_power_coefficient(pt, p, n) for n in range(p + 1))
     return FourierCoeffTable("power", p, chi, eta, "closed_form", coeffs)
 
 
@@ -134,7 +142,7 @@ def log_series_limit(
     coeffs = []
     for n in range(nmax + 1):
         if n <= p:
-            c = (eta - _LOG2) * power_coefficient(p, n, eta) + _log_band_coefficient(pt, p, n)
+            c = _log_power_term(pt, p, n) + _log_band_coefficient(pt, p, n)
         else:
             c = _log_tail_coefficient(pt, p, n)
         coeffs.append(c)

@@ -20,9 +20,11 @@ class FourierCoeffTable:
     """Coefficients c_n of f(psi) = sum_{n=0}^{N} c_n cos(n psi).
 
     The n = 0 entry already carries its series weight; no separate halving
-    convention applies.  `conditioning_warning` marks tables built from
-    alternating sums at eta < 0.2, whose small-magnitude tail entries are
-    accurate only in the absolute sense.
+    convention applies.  Every coefficient is finite: a route whose value
+    leaves the float range raises ValueError rather than store inf or nan.
+    `conditioning_warning` marks tables built from alternating sums at
+    eta < 0.2, whose small-magnitude tail entries are accurate only in the
+    absolute sense.
     """
 
     kernel: str
@@ -40,6 +42,8 @@ class FourierCoeffTable:
             raise ValueError(f"unknown method {self.method!r}")
         if len(self.coeffs) == 0:
             raise ValueError("empty coefficient table")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError("coefficient out of the float range (inf or nan)")
         if not self.chi > 1.0:
             raise ValueError("FourierCoeffTable needs chi > 1")
 

@@ -1,12 +1,16 @@
 """The public API and the layering: __all__ lists what a user calls, the
 checkers live in validation and no production module imports it, and the
-README's examples run."""
+README's examples run, the Python ones and the command lines."""
 
 import ast
 import doctest
+import shlex
 from pathlib import Path
 
+import pytest
+
 import polyfourier
+from polyfourier.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,3 +63,44 @@ def test_production_modules_do_not_import_validation():
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 10 and result.failed == 0
+
+
+def _readme_cli_blocks():
+    """(command, shown lines) for each fenced README block that starts with a
+    `$ polyfourier` line."""
+    blocks, current = [], None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            if current is None:
+                current = []
+                continue
+            if current and current[0].startswith("$ polyfourier "):
+                blocks.append((current[0][len("$ polyfourier "):], current[1:]))
+            current = None
+        elif current is not None:
+            current.append(line)
+    return blocks
+
+
+CLI_BLOCKS = _readme_cli_blocks()
+
+
+def test_readme_shows_the_cli_examples():
+    assert [command.split()[0] for command, _ in CLI_BLOCKS] == [
+        "logpoly", "coeffs", "greens", "validate"]
+
+
+@pytest.mark.parametrize("command,shown", CLI_BLOCKS,
+                         ids=[command.split()[0] for command, _ in CLI_BLOCKS])
+def test_readme_cli_example_output(capsys, command, shown):
+    # stdout is the block, or begins with the lines shown before a "...";
+    # what follows a "..." is the whole of stderr
+    assert main(shlex.split(command)) == 0
+    out, err = (text.splitlines() for text in capsys.readouterr())
+    if "..." in shown:
+        cut = shown.index("...")
+        out = out[:cut]
+    else:
+        cut = len(shown)
+    assert out == shown[:cut]
+    assert err == shown[cut + 1:]

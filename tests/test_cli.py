@@ -286,6 +286,27 @@ def test_console_script_is_deterministic():
     assert first.stdout.count("\n") == 14  # header + 13 rows
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # logpoly --p 80 writes about 170 KB, more than a pipe buffer holds, so
+    # the process is still writing when the reader closes its end
+    cmd = [
+        sys.executable, "-c",
+        "import sys; from polyfourier.cli import main; sys.exit(main(sys.argv[1:]))",
+        "logpoly", "--p", "80",
+    ]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"p,k,degree,numerator,denominator\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == 141
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
 @pytest.mark.parametrize(
     "kernel_flags",
     [
@@ -301,3 +322,12 @@ def test_coeffs_non_finite_chi_exits_2(capsys, kernel_flags, chi):
     # chi = inf used to print nan rows and exit 0
     code, out, err = run_cli(capsys, "coeffs", *kernel_flags, "--chi", chi)
     assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p", "2", "--chi", "1e153", "--nmax", "4"),  # printed 0,inf and exited 0
+    ("--p", "0", "--chi", "7e216"),  # printed inf and nan rows and exited 0
+])
+def test_coeffs_out_of_float_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")

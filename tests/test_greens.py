@@ -304,6 +304,14 @@ def test_out_of_float_range_is_a_value_error():
         greens_eval(SolutionParams(2, 300), (1.5, 0.0), (0.0, 0.0))
 
 
+def test_li_expansion_scale_overflow_is_a_value_error():
+    # chi = 1.5 gives a finite log table, but (2RR')^10 ~ 1.1e309 does not fit
+    g = Geometry.from_points((1.24e15, 0.0), (3.24e15, 0.0))
+    for method in ("algebraic", "limit"):
+        with pytest.raises(ValueError):
+            li_expansion(SolutionParams(2, 11), g, method=method)
+
+
 def test_infinite_chi_geometry_is_refused():
     # an infinite transverse offset passes chi > 1; eta and both expansions
     # must refuse it rather than return nan coefficients

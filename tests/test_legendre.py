@@ -13,11 +13,18 @@ import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
 from polyfourier import ConvergenceError, eta_from_chi, legendre_deg_deriv, legendre_p
-from polyfourier.legendre import LegendreArg, legendre_p_exact, neg_order_sum, taylor_coeffs_at1
+from polyfourier.legendre import (
+    LegendreArg,
+    _legendre,
+    legendre_p_exact,
+    neg_order_sum,
+    taylor_coeffs_at1,
+)
 from polyfourier.validation import legendre_p_nu
 
 Z_GRID = (1.01, 1.5, 2.0, 5.0, 50.0)
@@ -103,28 +110,61 @@ def test_negative_order_sum_is_positive_and_terminates():
 def test_exact_evaluator_matches_float_path():
     for eta in (0.3, 1.0, 3.0):
         t = Fraction(math.exp(eta))
-        z = float((t * t + 1) / (t * t - 1))
+        pt = LegendreArg.from_eta(eta)
         for p in range(9):
             for m in range(-8, p + 1):
                 exact = float(legendre_p_exact(p, m, t))
-                approx = legendre_p(p, m, z, eta=eta)
+                approx = _legendre(pt, p, m)
                 assert approx == pytest.approx(exact, rel=1e-12, abs=1e-300)
 
 
 def test_eta_keyword_agrees_with_plain_argument():
+    # the z-argument value at z = coth(eta) against the point built from eta
     for eta in (0.5, 2.0):
         z = math.cosh(eta) / math.sinh(eta)
         for (p, m) in [(3, 2), (4, -3), (5, 0), (2, -5)]:
-            assert legendre_p(p, m, z, eta=eta) == pytest.approx(
-                legendre_p(p, m, z), rel=1e-11
+            assert legendre_p(p, m, z) == pytest.approx(
+                _legendre(LegendreArg.from_eta(eta), p, m), rel=1e-11
             )
 
 
 def test_argument_wrapper_round_trips():
     arg = LegendreArg.from_eta(0.8)
-    assert arg.z == pytest.approx(math.cosh(0.8) / math.sinh(0.8), rel=1e-15)
+    z = math.cosh(0.8) / math.sinh(0.8)
+    assert arg.u == pytest.approx(z - 1.0, rel=1e-15)
+    back = LegendreArg.from_z(1.0 + arg.u)
+    assert back.eta == pytest.approx(0.8, rel=1e-15)
+    # from_z keeps u = z - 1 exactly
+    assert LegendreArg.from_z(1.25).u == 0.25
     with pytest.raises(ValueError):
-        LegendreArg(0.5, None)
+        LegendreArg.from_z(0.5)
+
+
+def _mpmath_legendre(p: int, m: int, z: float):
+    # mpmath's type-3 P_p^m; a positive order goes through the reflection
+    # P_p^m = (p+m)!/(p-m)! P_p^{-m}, because mpmath reaches it by a slow
+    # limit over the poles of Gamma(1-m)
+    if m <= 0:
+        return mpmath.legenp(p, m, mpmath.mpf(z), type=3)
+    ratio = mpmath.mpf(math.factorial(p + m)) / math.factorial(p - m)
+    return ratio * mpmath.legenp(p, -m, mpmath.mpf(z), type=3)
+
+
+def test_z_argument_relative_accuracy_against_mpmath():
+    # z from 1 + 1e-7 to 1e8, p <= 12, -14 <= m <= p (2,730 points).  The
+    # hardest points are z = 1e8 with m near 10, where sinh^{-m}(eta) is
+    # large, and z = 1.0001 with m = -13, where e^{-13 eta} magnifies the
+    # relative rounding of eta by 13 eta, about 64.
+    zs = (1 + 1e-7, 1 + 1e-5, 1.0001, 1.01, 1.3, 2.0, 5.0, 50.0, 1e4, 1e8)
+    worst = (0.0, ())
+    with mpmath.workdps(30):
+        for z in zs:
+            for p in range(13):
+                for m in range(-14, p + 1):
+                    want = _mpmath_legendre(p, m, z)
+                    err = float(abs(legendre_p(p, m, z) / want - 1))
+                    worst = max(worst, (err, (p, m, z)))
+    assert worst[0] <= 2e-14, worst
 
 
 def _laplace_oracle(nu: float, m: int, z: float) -> float:
@@ -171,7 +211,7 @@ def test_integer_route_input_guards():
     with pytest.raises(ValueError):
         legendre_p(-1, 0, 2.0)
     with pytest.raises(ValueError):
-        legendre_p(2, 0, 2.0, eta=-1.0)
+        LegendreArg.from_eta(-1.0)
 
 
 def test_real_degree_series_raises_when_capped():

@@ -1,6 +1,7 @@
 """Exact scalar helpers: harmonic numbers, beta constant, chi <-> eta map."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,12 @@ def test_eta_from_chi_rejects_non_finite():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             eta_from_chi(bad)
+
+
+def test_eta_from_chi_past_the_product_overflow():
+    # (chi - 1)(chi + 1) overflows past chi ~ 1.3e154; eta was inf there
+    for chi in (1.4e154, 7e216, sys.float_info.max):
+        assert eta_from_chi(chi) == math.acosh(chi)
+    assert eta_from_chi(1.4e154) == pytest.approx(355.6277237382642, rel=1e-15)
+    # below the overflow the log1p form still runs, and agrees with acosh
+    assert eta_from_chi(1.3e154) == pytest.approx(math.acosh(1.3e154), rel=1e-15)

@@ -22,6 +22,7 @@ from polyfourier.legendre import ExactLegendreArg, LegendreArg
 from polyfourier.series_limit import (
     _log_band_coefficient,
     _log_tail_coefficient,
+    _power_coefficient,
     power_coefficient,
 )
 
@@ -65,6 +66,17 @@ def test_power_coefficient_matches_series_entry():
             assert power_coefficient(p, n, ETA) == pytest.approx(
                 t.coeffs[n], rel=1e-13, abs=1e-300
             )
+
+
+def test_power_coefficients_sum_exactly_to_the_kernel_at_0_and_pi():
+    # sum_n f_n cos(n psi) = (x - cos psi)^p at psi = 0 and pi, evaluated by
+    # the power closed form at the exact point, where x = cosh eta is rational
+    for eta in (0.2, 0.5, 1.0, 2.0, 5.0):
+        pt = ExactLegendreArg.from_eta(eta)
+        for p in range(13):
+            f = [_power_coefficient(pt, p, n) for n in range(p + 1)]
+            assert sum(f) == (pt.x - 1) ** p
+            assert sum((-1) ** n * c for n, c in enumerate(f)) == (pt.x + 1) ** p
 
 
 def test_power_series_reconstructs_kernel():

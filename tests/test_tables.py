@@ -22,6 +22,12 @@ def test_metadata_validation():
         FourierCoeffTable("log", 1, 0.5, 0.1, "limit", (1.0,))  # chi <= 1
 
 
+def test_non_finite_coefficients_are_refused():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            make(coeffs=(1.0, bad, 0.25))
+
+
 def test_nmax_counts_from_zero():
     assert make().nmax == 2
 
