@@ -84,7 +84,10 @@ class LegendreArg:
         return math.exp(k * self.eta)
 
     def sinh_pow(self, k: int) -> float:
-        return math.sinh(self.eta) ** k
+        try:
+            return math.sinh(self.eta) ** k
+        except OverflowError:
+            raise ValueError(f"sinh(eta)^{k} overflows double precision") from None
 
     def cached(self, fn, *args):
         """fn(self, *args); float values are cheap to recompute, so a plain call."""

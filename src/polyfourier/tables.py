@@ -20,11 +20,14 @@ class FourierCoeffTable:
     """Coefficients c_n of f(psi) = sum_{n=0}^{N} c_n cos(n psi).
 
     The n = 0 entry already carries its series weight; no separate halving
-    convention applies.  Every coefficient is finite: a route whose value
-    leaves the float range raises ValueError rather than store inf or nan.
-    `conditioning_warning` marks tables built from alternating sums at
-    eta < 0.2, whose small-magnitude tail entries are accurate only in the
-    absolute sense.
+    convention applies.  `reconstruct` sums the series by Clenshaw's
+    recurrence in Reinsch's form; measured against a 40-digit sum of the
+    stored coefficients, its error stays within a few u sum |c_n|, near
+    psi = 0 and pi as elsewhere (u = 2^-53).  Every coefficient is finite:
+    a route whose value leaves the float range raises ValueError rather
+    than store inf or nan.  `conditioning_warning` marks tables built from
+    alternating sums at eta < 0.2, whose small-magnitude tail entries are
+    accurate only in the absolute sense.
     """
 
     kernel: str
@@ -62,11 +65,32 @@ class FourierCoeffTable:
         raise IndexError(f"table holds n <= {self.nmax}")
 
     def reconstruct(self, psi):
-        """Evaluate the cosine series at scalar or array psi."""
+        """Evaluate the cosine series at scalar or array psi.
+
+        Clenshaw's backward recurrence (Math. Comp. 9, 1955) in Reinsch's
+        form (Gentleman, Comput. J. 12, 1969), so no cos(n psi) is formed and
+        memory is O(M) for M points.  With s = +1 where cos psi >= 0 and -1
+        elsewhere, and lam = 2 cos psi - 2s taken from the half angle as
+        -4 sin^2(psi/2) or 4 cos^2(psi/2), which avoids the cancellation
+        near psi = 0 and pi: d_k = c_k + lam b_{k+1} + s d_{k+1} and
+        b_k = d_k + s b_{k+1} for k = N..1 from b = d = 0, and the sum is
+        c_0 + (lam/2) b_1 + s d_1.  A scalar (or 0-d) psi runs the
+        recurrence on Python floats and returns a float; an array keeps its
+        shape.  A psi that is not finite raises ValueError.
+        """
         psi_arr = np.asarray(psi, dtype=float)
-        n = np.arange(len(self.coeffs))
-        vals = np.cos(np.multiply.outer(psi_arr, n)) @ np.asarray(self.coeffs)
-        return float(vals) if np.isscalar(psi) or psi_arr.ndim == 0 else vals
+        if not np.isfinite(psi_arr).all():
+            raise ValueError("reconstruct needs a finite psi")
+        xp, x = (math, float(psi_arr)) if psi_arr.ndim == 0 else (np, psi_arr)
+        s = xp.copysign(1.0, xp.cos(x))
+        # 1 - s and 1 + s are 0 or 2 exactly, so one half-angle term survives
+        lam = 2.0 * ((1.0 - s) * xp.cos(0.5 * x) ** 2 - (1.0 + s) * xp.sin(0.5 * x) ** 2)
+        b = d = 0.0
+        for c in reversed(self.coeffs[1:]):
+            d = c + lam * b + s * d
+            b = d + s * b
+        total = self.coeffs[0] + 0.5 * lam * b + s * d
+        return float(total) if psi_arr.ndim == 0 else total
 
 
 def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:

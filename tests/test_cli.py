@@ -331,3 +331,12 @@ def test_coeffs_non_finite_chi_exits_2(capsys, kernel_flags, chi):
 def test_coeffs_out_of_float_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_coeffs_power_overflow_names_the_quantity(capsys):
+    # sinh(eta)^3 leaves the float range; the message was the raw errno
+    # tuple "(34, 'Numerical result out of range')"
+    code, out, err = run_cli(capsys, "coeffs", "--kernel", "power", "--p", "3",
+                             "--chi", "1e120")
+    assert code == 2 and out == ""
+    assert err == "error: sinh(eta)^3 overflows double precision\n"

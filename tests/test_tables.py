@@ -3,10 +3,11 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from polyfourier import ConvergenceError, FourierCoeffTable, default_nmax
+from polyfourier import ConvergenceError, FourierCoeffTable, default_nmax, log_series_limit
 
 
 def make(kernel="log", method="limit", coeffs=(1.0, -0.5, 0.25)):
@@ -54,6 +55,83 @@ def test_reconstruct_sums_cosines():
     assert arr.shape == (2,)
     assert arr[0] == pytest.approx(6.0, rel=1e-15)
 
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+# psi near 0, pi and 2 pi, down to offsets of 1e-10, where plain Clenshaw
+# loses accuracy; random psi are added per table
+_EDGE_PSI = (
+    0.0, 1e-10, 1e-6, 1e-3,
+    math.pi - 1e-3, math.pi - 1e-8, math.pi, math.pi + 1e-10,
+    2 * math.pi - 1e-7, 2 * math.pi - 1e-10, 2 * math.pi,
+)
+
+
+def mp_cosine_sum(coeffs, psi):
+    """sum c_n cos(n psi) of the stored coefficients at 40 digits, the
+    cosines from their three-term recurrence."""
+    with mpmath.workdps(40):
+        cos1 = mpmath.cos(mpmath.mpf(psi))
+        prev, cur = mpmath.mpf(1), cos1
+        total = mpmath.mpf(coeffs[0])
+        for c in coeffs[1:]:
+            total += c * cur
+            prev, cur = cur, 2 * cos1 * cur - prev
+        return total
+
+
+@pytest.mark.parametrize("p, eta", [
+    (0, 0.05), (3, 0.05), (1, 0.2), (10, 0.2), (0, 1.0), (5, 1.0), (10, 1.0),
+])
+def test_reconstruct_within_the_summation_bound(p, eta):
+    # against a 40-digit sum of the same coefficients the error stays within
+    # 8 u sum |c_n| at every psi (1.7 u sum |c_n| at worst when measured),
+    # well inside the summation bound n_terms u sum |c_n| of the benchmark's
+    # checks; lam = 2 cos psi - 2s formed without the half angle reaches
+    # 48 u sum |c_n| at p = 0, eta = 0.05, psi = 1e-6
+    t = log_series_limit(p, math.cosh(eta), default_nmax(p, eta))
+    bound = 8 * _UNIT_ROUNDOFF * math.fsum(map(abs, t.coeffs))
+    rng = np.random.default_rng(p + 100 * int(20 * eta))
+    psi = np.concatenate((_EDGE_PSI, rng.uniform(0.0, 2 * math.pi, 2)))
+    got = t.reconstruct(psi)
+    for x, g in zip(psi, got):
+        want = mp_cosine_sum(t.coeffs, x)
+        assert abs(g - want) <= bound, (x, float(abs(g - want)) / bound)
+        assert abs(t.reconstruct(float(x)) - want) <= bound, x
+
+
+def test_reconstruct_result_types_and_shapes():
+    t = log_series_limit(2, math.cosh(0.5), 40)
+    assert type(t.reconstruct(0.3)) is float
+    assert type(t.reconstruct(1)) is float
+    assert type(t.reconstruct(np.float64(0.3))) is float
+    assert type(t.reconstruct(np.array(0.3))) is float
+    grid = np.linspace(0.0, 2 * math.pi, 12).reshape(3, 4)
+    assert t.reconstruct(grid).shape == (3, 4)
+    assert t.reconstruct([0.1, 0.2]).shape == (2,)
+    one = FourierCoeffTable("log", 1, 2.0, math.acosh(2.0), "limit", (0.5,))
+    assert np.array_equal(one.reconstruct(grid), np.full((3, 4), 0.5))
+
+
+def test_reconstruct_scalar_and_array_agree():
+    # numpy's vector sin/cos may round differently from the math module, so
+    # the two paths agree to a few ulps of sum |c_n|, not bit for bit
+    rng = np.random.default_rng(7)
+    for p, eta in [(0, 0.05), (3, 0.2), (10, 1.0), (6, 0.5)]:
+        t = log_series_limit(p, math.cosh(eta), default_nmax(p, eta))
+        psi = rng.uniform(-7.0, 7.0, 200)
+        scalar = np.array([t.reconstruct(float(x)) for x in psi])
+        tol = 4 * _UNIT_ROUNDOFF * math.fsum(map(abs, t.coeffs))
+        assert np.max(np.abs(t.reconstruct(psi) - scalar)) <= tol
+
+
+@pytest.mark.parametrize("psi", [
+    math.inf, -math.inf, math.nan, np.array([0.1, math.nan]), [0.0, math.inf],
+])
+def test_reconstruct_refuses_non_finite_psi(psi):
+    # inf used to give nan with a RuntimeWarning and nan a silent nan
+    with pytest.raises(ValueError):
+        make().reconstruct(psi)
 
 def test_default_nmax_honors_band_minimum():
     # even with a loose tolerance the cut never intrudes into the band
