@@ -86,9 +86,9 @@ def mp_cosine_sum(coeffs, psi):
 def test_reconstruct_within_the_summation_bound(p, eta):
     # against a 40-digit sum of the same coefficients the error stays within
     # 8 u sum |c_n| at every psi (1.7 u sum |c_n| at worst when measured),
-    # well inside the summation bound n_terms u sum |c_n| of the benchmark's
-    # checks; lam = 2 cos psi - 2s formed without the half angle reaches
-    # 48 u sum |c_n| at p = 0, eta = 0.05, psi = 1e-6
+    # well inside the summation bound n_terms u sum |c_n| of
+    # perfbench/checks.py; lam = 2 cos psi - 2s formed without the half
+    # angle reaches 48 u sum |c_n| at p = 0, eta = 0.05, psi = 1e-6
     t = log_series_limit(p, math.cosh(eta), default_nmax(p, eta))
     bound = 8 * _UNIT_ROUNDOFF * math.fsum(map(abs, t.coeffs))
     rng = np.random.default_rng(p + 100 * int(20 * eta))
