@@ -24,13 +24,12 @@ from .greens import (
     SolutionParams,
     greens_eval,
     hii_expansion,
+    kernel_table,
     li_direct,
     li_expansion,
 )
 from .logpoly import logpoly_recurrence
 from .scalars import eta_from_chi
-from .series_algebraic import log_series_algebraic
-from .series_limit import inverse_power_series, log_series_limit, power_series
 from .validation import quad_fourier_coeff, run_validation_suite
 
 __all__ = ["main"]
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--x", required=True, help="comma-separated coordinates")
     gr.add_argument("--xp", required=True, help="comma-separated coordinates")
     gr.add_argument("--nmax", type=int)
-    gr.add_argument("--method", choices=("algebraic", "limit"), default="algebraic")
+    gr.add_argument("--method", choices=("algebraic", "limit"))
     gr.add_argument("--tol", type=float, default=1e-10)
     gr.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -111,54 +110,29 @@ def _cmd_logpoly(args) -> int:
 
 
 def _coeffs_table(args):
-    kernel, method = args.kernel, args.method
-    if kernel == "inverse":
+    kernel = "inverse_power" if args.kernel == "inverse" else args.kernel
+    if kernel == "inverse_power":
         if args.q is None or args.q < 1:
             raise ValueError("inverse kernel needs --q >= 1")
-        if method in ("algebraic", "limit"):
-            raise ValueError("inverse kernel admits --method closed_form or oracle")
         param = args.q
     else:
         if args.p is None or args.p < 0:
             raise ValueError(f"{kernel} kernel needs --p >= 0")
-        if kernel == "power" and method in ("algebraic", "limit"):
-            raise ValueError("power kernel admits --method closed_form or oracle")
         param = args.p
     nmax = args.nmax
     if nmax is not None and nmax < 0:
         raise ValueError("--nmax must be >= 0")
-    if kernel == "power":
-        nmax = param if nmax is None else nmax
-        if method == "oracle":
-            coeffs = [quad_fourier_coeff("power", param, args.chi, n) for n in range(nmax + 1)]
-            return "power", param, "oracle", coeffs
-        t = power_series(param, args.chi)
-        coeffs = (list(t.coeffs) + [0.0] * max(0, nmax - t.nmax))[: nmax + 1]
-        return "power", param, t.method, coeffs
-    if kernel == "inverse":
-        if method == "oracle":
-            if nmax is None:
-                raise ValueError("--method oracle needs an explicit --nmax")
-            coeffs = [
-                quad_fourier_coeff("inverse_power", param, args.chi, n) for n in range(nmax + 1)
-            ]
-            return "inverse_power", param, "oracle", coeffs
-        t = inverse_power_series(param, args.chi, nmax)
-        return "inverse_power", param, t.method, list(t.coeffs)
-    if method == "oracle":
-        if nmax is None:
+    if args.method == "oracle":
+        if nmax is None and kernel != "power":
             raise ValueError("--method oracle needs an explicit --nmax")
-        coeffs = [quad_fourier_coeff("log", param, args.chi, n) for n in range(nmax + 1)]
-        return "log", param, "oracle", coeffs
-    if method in (None, "algebraic"):
-        t = log_series_algebraic(param, args.chi, nmax)
-    elif method == "limit":
-        t = log_series_limit(param, args.chi, nmax)
-    else:
-        raise ValueError("log kernel admits --method algebraic, limit or oracle")
+        top = param if nmax is None else nmax
+        coeffs = [quad_fourier_coeff(kernel, param, args.chi, n) for n in range(top + 1)]
+        return kernel, param, "oracle", coeffs
+    t = kernel_table(kernel, param, args.chi, nmax, args.method)
     if t.conditioning_warning:
         print("warning: eta < 0.2, tail entries are absolute-accurate only", file=sys.stderr)
-    return "log", param, t.method, list(t.coeffs)
+    top = t.nmax if nmax is None else nmax
+    return kernel, param, t.method, [t.coeff(n) for n in range(top + 1)]
 
 
 def _cmd_coeffs(args) -> int:

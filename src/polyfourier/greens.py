@@ -18,21 +18,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .legendre import LegendreArg
 from .scalars import beta_pd, eta_from_chi
 from .series_algebraic import log_series_algebraic
-from .series_limit import (
-    _log_band_coefficient,
-    inverse_power_series,
-    log_series_limit,
-    power_coefficient,
-    power_series,
-)
+from .series_limit import inverse_power_series, log_series_limit, power_series
 from .tables import FourierCoeffTable, default_nmax
 
 __all__ = [
     "Geometry",
     "SolutionParams",
+    "kernel_table",
     "greens_eval",
     "li_direct",
     "li_expansion",
@@ -183,25 +177,49 @@ def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float
     return r ** (2 * params.k - params.d) * (math.log(r) - float(beta_pd(p, params.d)))
 
 
+def kernel_table(
+    kernel: str,
+    param: int,
+    chi: float,
+    nmax: int | None = None,
+    method: str | None = None,
+    tail_tol: float = 1e-10,
+) -> FourierCoeffTable:
+    """Cosine series of one azimuthal kernel ("power", "inverse_power" or
+    "log") at chi by the named route.  method=None is the kernel's default
+    route: closed_form, or algebraic for log.  Any other pairing of kernel
+    and method raises ValueError.  The power series is finite (n <= param)
+    and ignores nmax and tail_tol.  Each route is looked up by its module
+    name at call time, so a rebinding of that name (a tracer, a test
+    double) sees the call."""
+    if kernel == "log":
+        if method in (None, "algebraic"):
+            return log_series_algebraic(param, chi, nmax, tail_tol)
+        if method == "limit":
+            return log_series_limit(param, chi, nmax, tail_tol)
+    elif method in (None, "closed_form"):
+        if kernel == "power":
+            return power_series(param, chi)
+        if kernel == "inverse_power":
+            return inverse_power_series(param, chi, nmax, tail_tol)
+    raise ValueError(f"no {method or 'default'} route for the {kernel} kernel")
+
+
 def li_expansion(
     params: SolutionParams,
     geom: Geometry,
     nmax: int | None = None,
-    method: str = "algebraic",
+    method: str | None = None,
     tail_tol: float = 1e-10,
 ) -> FourierCoeffTable:
     """Azimuthal cosine expansion of li_direct about the ring geometry:
     a_n = (2RR')^p { [log(2RR')/2 - beta_{p,d}] f_n + g_n / 2 }, where f/g are
-    the power/log kernel series at chi."""
+    the power/log kernel series at chi, the log series by kernel_table's
+    route for method."""
     p = params.p
     chi = geom.chi
-    if method == "algebraic":
-        gtab = log_series_algebraic(p, chi, nmax, tail_tol)
-    elif method == "limit":
-        gtab = log_series_limit(p, chi, nmax, tail_tol)
-    else:
-        raise ValueError("method must be 'algebraic' or 'limit'")
-    ftab = power_series(p, chi)
+    gtab = kernel_table("log", p, chi, nmax, method, tail_tol)
+    ftab = kernel_table("power", p, chi)
     two_rr = 2.0 * geom.R * geom.Rprime
     try:
         scale = two_rr**p
@@ -227,27 +245,20 @@ def hii_expansion(
     (2RR')^{-q} (chi - cos psi)^{-q} with q = d/2 - k >= 1."""
     q = params.q
     htab = inverse_power_series(q, geom.chi, nmax, tail_tol)
-    scale = (2.0 * geom.R * geom.Rprime) ** (-q)
+    try:
+        scale = (2.0 * geom.R * geom.Rprime) ** (-q)
+    except OverflowError:
+        raise ValueError("hii_expansion: (2RR')^-q overflows double precision") from None
     coeffs = tuple(scale * c for c in htab.coeffs)
     return FourierCoeffTable("hii", q, geom.chi, htab.eta, "closed_form", coeffs)
 
 
-def _axisym_assemble(params: SolutionParams, geom: Geometry, g: float) -> float:
-    """n = 0 coefficient of li_expansion, given g: the n = 0 log-kernel
-    coefficient without its (eta - log 2)-weighted power term."""
-    p = params.p
-    eta = geom.eta
-    w = math.log(geom.R * geom.Rprime) + eta - 2.0 * float(beta_pd(p, params.d))
-    scale = (2.0 * geom.R * geom.Rprime) ** p
-    return scale * 0.5 * (w * power_coefficient(p, 0, eta) + g)
-
-
 def axisym_component(params: SolutionParams, geom: Geometry) -> float:
-    """Axisymmetric (n = 0) coefficient of li_expansion, from the limit
-    route's band coefficient (Legendre evaluations with digamma weights) plus
-    the power term; it equals li_expansion(...).coeffs[0]."""
-    g = _log_band_coefficient(LegendreArg.from_eta(geom.eta), params.p, 0)
-    return _axisym_assemble(params, geom, g)
+    """Axisymmetric (n = 0) coefficient of li_expansion: the n = 0 entry of
+    the limit-route table with N = p+1, the shortest log table, so it equals
+    li_expansion(params, geom, params.p + 1, "limit").coeffs[0] bit for bit
+    and refuses what li_expansion refuses."""
+    return li_expansion(params, geom, params.p + 1, "limit").coeffs[0]
 
 
 def li_truncation(params: SolutionParams, geom: Geometry, tail_tol: float = 1e-10) -> int:

@@ -57,8 +57,9 @@ class LegendreArg:
     """Float evaluation point z = coth(eta) > 1, holding eta and u = z - 1.
 
     e^{k eta} and sinh^k(eta) come from eta; the Taylor and Gauss sums run in
-    u.  from_eta sets u = 2/expm1(2 eta); from_z keeps u = z - 1 exact, which
-    those sums need near z = 1, and sets eta = log1p(2/u)/2.
+    u.  from_eta sets u = 2/expm1(2 eta), or 2 e^{-2 eta}/(-expm1(-2 eta))
+    past eta ~ 354.9, where expm1(2 eta) overflows; from_z keeps u = z - 1
+    exact, which those sums need near z = 1, and sets eta = log1p(2/u)/2.
     """
 
     eta: float
@@ -68,7 +69,10 @@ class LegendreArg:
     def from_eta(cls, eta: float) -> "LegendreArg":
         if not eta > 0.0:
             raise ValueError("from_eta needs eta > 0")
-        return cls(eta, 2.0 / math.expm1(2.0 * eta))
+        try:
+            return cls(eta, 2.0 / math.expm1(2.0 * eta))
+        except OverflowError:
+            return cls(eta, 2.0 * math.exp(-2.0 * eta) / -math.expm1(-2.0 * eta))
 
     @classmethod
     def from_z(cls, z: float) -> "LegendreArg":

@@ -42,20 +42,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError
-from .greens import Geometry, SolutionParams, _axisym_assemble, axisym_component
+from .greens import Geometry, SolutionParams, axisym_component, kernel_table, li_expansion
 from .legendre import ExactLegendreArg
 from .logpoly import _HALF, LogPolynomial, _shift_add
 from .scalars import neumann
-from .series_algebraic import _p_frak, _re_frak, log_series_algebraic, p_frak
+from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
 from .series_limit import (
     _inverse_coefficient,
     _log_band_coefficient,
     _log_tail_coefficient,
-    inverse_power_series,
     log_series_limit,
-    power_series,
 )
-from .tables import FourierCoeffTable
 
 __all__ = [
     "ValidationReport",
@@ -339,16 +336,6 @@ def compare_log_routes(
     ]
 
 
-def _series_table(kernel: str, param: int, chi: float, nmax: int, method: str):
-    if kernel == "power":
-        return power_series(param, chi)
-    if kernel == "inverse_power":
-        return inverse_power_series(param, chi, nmax)
-    if method == "algebraic":
-        return log_series_algebraic(param, chi, nmax)
-    return log_series_limit(param, chi, nmax)
-
-
 def oracle_reports(
     kernel: str,
     param: int,
@@ -363,7 +350,7 @@ def oracle_reports(
     The absolute floor is scaled by max(1, max|f|): below that level the
     oracle itself carries only noise (spectral floor of float64).
     """
-    table: FourierCoeffTable = _series_table(kernel, param, chi, nmax, method)
+    table = kernel_table(kernel, param, chi, nmax, method)
     scaled_floor = floor * kernel_scale(kernel, param, chi)
     name = f"oracle_{kernel}" + (f"_{method}" if kernel == "log" else "")
     out = []
@@ -379,9 +366,11 @@ def verify_axisym_dual(
     params: SolutionParams, geom: Geometry, tol: float = 1e-10, floor: float = 1e-12
 ) -> ValidationReport:
     """Agreement of the two closed forms of the axisymmetric coefficient:
-    axisym_component against the algebraic route's p_frak(0) assembled alike."""
+    axisym_component, the n = 0 entry of the limit-route li_expansion,
+    against the same entry of the algebraic-route li_expansion, both with
+    N = p+1."""
     lhs = axisym_component(params, geom)
-    rhs = _axisym_assemble(params, geom, p_frak(0, params.p, geom.eta))
+    rhs = li_expansion(params, geom, params.p + 1, "algebraic").coeffs[0]
     return _report("axisym_dual", params.p, 0, geom.eta, lhs, rhs, tol, floor)
 
 

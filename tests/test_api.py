@@ -60,6 +60,22 @@ def test_production_modules_do_not_import_validation():
         assert not [m for m in imported if "validation" in m.split(".")], name
 
 
+def test_greens_imports_no_private_name():
+    tree = ast.parse((ROOT / "src" / "polyfourier" / "greens.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("polyfourier"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_cli_reaches_the_series_routes_through_kernel_table():
+    imported = list(_imported_modules(ROOT / "src" / "polyfourier" / "cli.py"))
+    assert "greens.kernel_table" in imported
+    assert not [m for m in imported
+                if {"series_algebraic", "series_limit"} & set(m.split("."))]
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 10 and result.failed == 0

@@ -138,6 +138,10 @@ def test_coeffs_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "coeffs", "--kernel", "power", "--p", "1",
                          "--chi", "2.0", "--method", "algebraic")
     assert code == 2
+    # nor the closed_form route to the log kernel
+    code, out, _ = run_cli(capsys, "coeffs", "--kernel", "log", "--p", "1",
+                           "--chi", "2.0", "--method", "closed_form")
+    assert code == 2 and out == ""
     # oracle needs an explicit truncation for infinite series
     code, _, _ = run_cli(capsys, "coeffs", "--kernel", "inverse", "--q", "1",
                          "--chi", "2.0", "--method", "oracle")
@@ -326,11 +330,21 @@ def test_coeffs_non_finite_chi_exits_2(capsys, kernel_flags, chi):
 
 @pytest.mark.parametrize("argv", [
     ("--p", "2", "--chi", "1e153", "--nmax", "4"),  # printed 0,inf and exited 0
-    ("--p", "0", "--chi", "7e216"),  # printed inf and nan rows and exited 0
 ])
 def test_coeffs_out_of_float_range_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_coeffs_log_past_the_expm1_overflow(capsys):
+    # eta ~ 499.3: 2/expm1(2 eta) overflowed and the command exited 2 with
+    # "math range error"; c_0 = eta - log 2 = log(chi) and c_1 = -2 e^{-eta}
+    code, out, _ = run_cli(capsys, "coeffs", "--kernel", "log", "--p", "0",
+                           "--chi", "7e216")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()[1:]]
+    assert float(rows[0][1]) == pytest.approx(math.log(7e216), rel=1e-15)
+    assert float(rows[1][1]) == pytest.approx(-1 / 7e216, rel=1e-13)
 
 
 def test_coeffs_power_overflow_names_the_quantity(capsys):

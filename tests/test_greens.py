@@ -19,7 +19,7 @@ from polyfourier import (
     li_expansion,
     li_truncation,
 )
-from polyfourier.greens import DegenerateGeometryError
+from polyfourier.greens import DegenerateGeometryError, kernel_table
 from polyfourier.validation import verify_axisym_dual
 
 PI = math.pi
@@ -219,6 +219,14 @@ def test_li_expansion_routes_agree():
         li_expansion(SolutionParams(2, 1), g, nmax=5, method="series")
 
 
+def test_kernel_table_refuses_unknown_pairs():
+    assert kernel_table("log", 2, 1.5, 8).method == "algebraic"
+    assert kernel_table("power", 2, 1.5).method == "closed_form"
+    for kernel, method in (("log", "closed_form"), ("power", "limit"), ("quartic", None)):
+        with pytest.raises(ValueError):
+            kernel_table(kernel, 2, 1.5, 8, method)
+
+
 def test_li_expansion_table_metadata():
     g = Geometry(1.0, 0.5, 1.0)
     t = li_expansion(SolutionParams(4, 3), g, nmax=8)
@@ -275,6 +283,11 @@ def test_axisym_forms_agree_and_match_table_entry():
         c = li_expansion(params, g, nmax=max(10, p + 1)).coeffs[0]
         assert verify_axisym_dual(params, g, tol=1e-12, floor=1e-12).passed
         assert a == pytest.approx(c, rel=1e-10)
+    # by construction: the n = 0 entry of the shortest limit-route table
+    for p in range(11):
+        params = SolutionParams(2, p + 1)
+        g = Geometry(1.7, 0.6, 0.4)
+        assert axisym_component(params, g) == li_expansion(params, g, p + 1, "limit").coeffs[0]
 
 
 def test_truncation_rule_scales_with_band_and_decay():
@@ -310,6 +323,16 @@ def test_li_expansion_scale_overflow_is_a_value_error():
     for method in ("algebraic", "limit"):
         with pytest.raises(ValueError):
             li_expansion(SolutionParams(2, 11), g, method=method)
+    # the n = 0 entry alone raised the raw OverflowError of (2RR')**p
+    with pytest.raises(ValueError):
+        axisym_component(SolutionParams(2, 11), g)
+
+
+def test_hii_expansion_scale_overflow_is_a_value_error():
+    # q = 2: (2RR')^-2 ~ 2e399 does not fit; (2RR')**(-q) raised OverflowError
+    g = Geometry(1e-100, 1.1e-100, 0.0)
+    with pytest.raises(ValueError, match=r"\(2RR'\)\^-q overflows"):
+        hii_expansion(SolutionParams(6, 1), g)
 
 
 def test_infinite_chi_geometry_is_refused():
