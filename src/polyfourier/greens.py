@@ -230,9 +230,7 @@ def li_expansion(
     for n, g in enumerate(gtab.coeffs):
         f = ftab.coeffs[n] if n <= p else 0.0
         coeffs.append(scale * (w * f + 0.5 * g))
-    return FourierCoeffTable(
-        "li", p, chi, gtab.eta, gtab.method, tuple(coeffs), gtab.conditioning_warning
-    )
+    return FourierCoeffTable("li", p, chi, gtab.eta, gtab.method, tuple(coeffs))
 
 
 def hii_expansion(

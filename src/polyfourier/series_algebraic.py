@@ -8,12 +8,13 @@ and reindexing the resulting double sum.  The per-coefficient building block is
     r_frak(n, p, k1, k2, eta)
         = 2 sum_{k=k1}^{k2} (-1)^{k+1} e^{k eta} R_p^k(cosh eta) / (n - k),
 
-an alternating sum that is compensated (Kahan) because adjacent terms can
-cancel to many digits at small eta.  p_frak assembles the branch structure in
-n (constant band, middle band, n = p edge, exponential tail) and q_frak adds
-the power term carrying the (eta - log 2) weight.  r_frak, re_frak and p_frak
-are written once over an evaluation point (see legendre), so the identity
-suite evaluates them exactly at t = e^eta.
+an alternating sum, whose adjacent terms can cancel to many digits at small
+eta, summed by math.fsum (correctly rounded) at the float point and exactly
+at the exact point.  p_frak assembles the branch structure in n (constant
+band, middle band, n = p edge, exponential tail) and q_frak adds the power
+term carrying the (eta - log 2) weight.  r_frak, re_frak and p_frak are
+written once over an evaluation point (see legendre), so the identity suite
+evaluates them exactly at t = e^eta; series_limit._table builds the table.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from __future__ import annotations
 import math
 
 from .legendre import LegendreArg
-from .scalars import eta_from_chi
-from .series_limit import _log_power_term
-from .tables import FourierCoeffTable, default_nmax
+from .series_limit import _log_power_term, _table
+from .tables import FourierCoeffTable
 
 __all__ = [
     "r_frak",
@@ -46,8 +46,8 @@ def r_frak(n: int, p: int, k1: int, k2: int, eta: float) -> float:
 
     Requires -p <= k1 <= k2 <= p and n outside [k1, k2] so no term divides by
     zero.  Each term is formed as exp(k eta + log R_p^k(cosh eta)) -- the
-    values R_p^k(cosh eta) are positive -- and the signed accumulation is
-    compensated.
+    values R_p^k(cosh eta) are positive -- and the signed terms are summed
+    by math.fsum, correctly rounded.
     """
     if not (-p <= k1 <= k2 <= p):
         raise ValueError("r_frak needs -p <= k1 <= k2 <= p")
@@ -95,7 +95,7 @@ def p_frak(n: int, p: int, eta: float) -> float:
     return _p_frak(LegendreArg.from_eta(eta), n, p)
 
 
-def _q_frak(pt: LegendreArg, n: int, p: int) -> float:
+def _q_frak(pt, p: int, n: int):
     out = _p_frak(pt, n, p)
     if n <= p:
         out += _log_power_term(pt, p, n)
@@ -106,7 +106,7 @@ def q_frak(n: int, p: int, eta: float) -> float:
     """Full coefficient of cos(n psi) in (cosh eta - cos psi)^p log(...):
     p_frak plus the (eta - log 2)-weighted power-series coefficient, which is
     zero for n > p."""
-    return _q_frak(LegendreArg.from_eta(eta), n, p)
+    return _q_frak(LegendreArg.from_eta(eta), p, n)
 
 
 def log_series_algebraic(
@@ -114,19 +114,10 @@ def log_series_algebraic(
 ) -> FourierCoeffTable:
     """Cosine series of (chi - cos psi)^p log(chi - cos psi), algebraic route.
 
-    Tables built at eta < 0.2 are tagged with a conditioning warning: the
-    alternating sums then cancel severely and small tail entries are reliable
-    in the absolute sense only.
+    Tables built at eta < 0.2 carry conditioning_warning: the alternating
+    sums then cancel severely and small tail entries are reliable in the
+    absolute sense only.
     """
     if p < 0:
         raise ValueError("log_series_algebraic needs p >= 0")
-    eta = eta_from_chi(chi)
-    if nmax is None:
-        nmax = default_nmax(p, eta, tail_tol)
-    if nmax < p + 1:
-        raise ValueError("log series needs nmax >= p+1")
-    pt = LegendreArg.from_eta(eta)
-    coeffs = tuple(_q_frak(pt, n, p) for n in range(nmax + 1))
-    return FourierCoeffTable(
-        "log", p, chi, eta, "algebraic", coeffs, conditioning_warning=eta < 0.2
-    )
+    return _table("log", "algebraic", p, chi, _q_frak, nmax, tail_tol, p + 1)

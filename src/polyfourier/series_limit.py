@@ -9,14 +9,16 @@ For chi = cosh eta > 1 and psi the azimuth difference:
   the Legendre degree/order derivatives into finite combinations of Legendre
   evaluations at shifted integer parameters plus one explicit tail family.
 
-Every Legendre value is taken at coth eta.  Each table builds one
-evaluation point from eta (see legendre), and every closed form here (power,
-band, tail and inverse-power coefficient) takes that point as an argument,
-so the identity suite evaluates this same code at the exact point.  Every
-rational weight is accumulated as a Fraction and rounded once by the point.
-The power term (eta - log 2) f_n, which both log routes add for n <= p, is
-written once here.  Tail terms n >= p+1 combine (n-p-1)!/n!, e^{-n eta} and
-the positive Gauss sum so that nothing overflows for large n eta.
+Every Legendre value is taken at coth eta.  Every route's table, here and in
+series_algebraic, is built by one pipeline, _table: eta and N, one
+evaluation point from eta (see legendre), then coefficient(pt, param, n).
+Every closed form here (power, band, tail and inverse-power coefficient)
+takes that point, so the identity suite evaluates this same code at the
+exact point.  Every rational weight is accumulated as a Fraction and
+rounded once by the point.  The power term (eta - log 2) f_n, which both
+log routes add for n <= p, is written once here.  Tail terms n >= p+1
+combine (n-p-1)!/n!, e^{-n eta} and the positive Gauss sum so that nothing
+overflows for large n eta.
 """
 
 from __future__ import annotations
@@ -45,6 +47,22 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
+def _table(kernel, method, param, chi, coefficient, nmax=None, tail_tol=1e-10, nmin=0):
+    """Table of coefficient(pt, param, n), n = 0..N, N = nmax or default_nmax
+    and at least nmin; an overflow mid-table is refused as an inf entry."""
+    eta = eta_from_chi(chi)
+    if nmax is None:
+        nmax = default_nmax(param, eta, tail_tol)
+    if nmax < nmin:
+        raise ValueError("log series needs nmax >= p+1" if nmin else "nmax must be >= 0")
+    pt = LegendreArg.from_eta(eta)
+    try:
+        coeffs = tuple(coefficient(pt, param, n) for n in range(nmax + 1))
+    except OverflowError:
+        coeffs = (math.inf,)  # refused by the table, which names kernel, param and chi
+    return FourierCoeffTable(kernel, param, chi, eta, method, coeffs)
+
+
 def _power_coefficient(pt, p: int, n: int):
     if not 0 <= n <= p:
         raise ValueError("power_coefficient needs 0 <= n <= p")
@@ -68,10 +86,7 @@ def power_series(p: int, chi: float) -> FourierCoeffTable:
     """Full (finite) cosine series of (chi - cos psi)^p."""
     if p < 0:
         raise ValueError("power_series needs p >= 0")
-    eta = eta_from_chi(chi)
-    pt = LegendreArg.from_eta(eta)
-    coeffs = tuple(_power_coefficient(pt, p, n) for n in range(p + 1))
-    return FourierCoeffTable("power", p, chi, eta, "closed_form", coeffs)
+    return _table("power", "closed_form", p, chi, _power_coefficient, p)
 
 
 def _inverse_coefficient(pt, q: int, n: int):
@@ -86,14 +101,7 @@ def inverse_power_series(
     """Cosine series of (chi - cos psi)^{-q} for integer q >= 1."""
     if q < 1:
         raise ValueError("inverse_power_series needs q >= 1")
-    eta = eta_from_chi(chi)
-    if nmax is None:
-        nmax = default_nmax(q, eta, tail_tol)
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    pt = LegendreArg.from_eta(eta)
-    coeffs = tuple(_inverse_coefficient(pt, q, n) for n in range(nmax + 1))
-    return FourierCoeffTable("inverse_power", q, chi, eta, "closed_form", coeffs)
+    return _table("inverse_power", "closed_form", q, chi, _inverse_coefficient, nmax, tail_tol)
 
 
 def _log_tail_coefficient(pt, p: int, n: int):
@@ -127,23 +135,17 @@ def _log_band_coefficient(pt, p: int, n: int):
     return pt.total(terms)
 
 
+def _log_coefficient(pt, p: int, n: int):
+    """Band entry plus the (eta - log 2) power term for n <= p, tail entry past it."""
+    if n <= p:
+        return _log_power_term(pt, p, n) + _log_band_coefficient(pt, p, n)
+    return _log_tail_coefficient(pt, p, n)
+
+
 def log_series_limit(
     p: int, chi: float, nmax: int | None = None, tail_tol: float = 1e-10
 ) -> FourierCoeffTable:
     """Cosine series of (chi - cos psi)^p log(chi - cos psi), exponent-derivative route."""
     if p < 0:
         raise ValueError("log_series_limit needs p >= 0")
-    eta = eta_from_chi(chi)
-    if nmax is None:
-        nmax = default_nmax(p, eta, tail_tol)
-    if nmax < p + 1:
-        raise ValueError("log series needs nmax >= p+1")
-    pt = LegendreArg.from_eta(eta)
-    coeffs = []
-    for n in range(nmax + 1):
-        if n <= p:
-            c = _log_power_term(pt, p, n) + _log_band_coefficient(pt, p, n)
-        else:
-            c = _log_tail_coefficient(pt, p, n)
-        coeffs.append(c)
-    return FourierCoeffTable("log", p, chi, eta, "limit", tuple(coeffs))
+    return _table("log", "limit", p, chi, _log_coefficient, nmax, tail_tol, p + 1)

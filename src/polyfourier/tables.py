@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -12,7 +12,7 @@ from .errors import ConvergenceError
 __all__ = ["FourierCoeffTable", "default_nmax"]
 
 _KERNELS = ("power", "inverse_power", "log", "li", "hii")
-_METHODS = ("algebraic", "limit", "closed_form", "oracle")
+_METHODS = ("algebraic", "limit", "closed_form")
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,9 @@ class FourierCoeffTable:
     recurrence in Reinsch's form; measured against a 40-digit sum of the
     stored coefficients, its error stays within a few u sum |c_n|, near
     psi = 0 and pi as elsewhere (u = 2^-53).  Every coefficient is finite:
-    a route whose value leaves the float range raises ValueError rather
-    than store inf or nan.  `conditioning_warning` marks tables built from
-    alternating sums at eta < 0.2, whose small-magnitude tail entries are
-    accurate only in the absolute sense.
+    a route whose value leaves the float range raises ValueError, naming
+    the kernel, param and chi, rather than store inf or nan.  The
+    conditioning_warning flag is derived from method and eta, not stored.
     """
 
     kernel: str
@@ -36,7 +35,6 @@ class FourierCoeffTable:
     eta: float
     method: str
     coeffs: tuple[float, ...]
-    conditioning_warning: bool = field(default=False)
 
     def __post_init__(self):
         if self.kernel not in _KERNELS:
@@ -46,9 +44,17 @@ class FourierCoeffTable:
         if len(self.coeffs) == 0:
             raise ValueError("empty coefficient table")
         if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("coefficient out of the float range (inf or nan)")
+            key = "q" if self.kernel in ("inverse_power", "hii") else "p"
+            raise ValueError(f"{self.kernel} table at {key}={self.param}, chi={self.chi!r}: "
+                             "coefficient out of the float range (inf, nan or overflow)")
         if not self.chi > 1.0:
             raise ValueError("FourierCoeffTable needs chi > 1")
+
+    @property
+    def conditioning_warning(self) -> bool:
+        """An algebraic-route table at eta < 0.2, whose alternating sums cancel
+        severely: small tail entries are accurate in the absolute sense only."""
+        return self.method == "algebraic" and self.eta < 0.2
 
     @property
     def nmax(self) -> int:

@@ -76,6 +76,36 @@ def test_cli_reaches_the_series_routes_through_kernel_table():
                 if {"series_algebraic", "series_limit"} & set(m.split("."))]
 
 
+def _names_used(path: Path, names: set[str]) -> dict[str, set[str]]:
+    """{top-level function, or "<module>": the names it uses} outside imports
+    and function signatures (a return annotation is not a use)."""
+    used = {}
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        owner, body = ((stmt.name, stmt.body) if isinstance(stmt, ast.FunctionDef)
+                       else ("<module>", [stmt]))
+        for node in (n for s in body for n in ast.walk(s)):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names:
+                used.setdefault(owner, set()).add(name)
+    return used
+
+
+def test_series_tables_are_built_in_one_pipeline():
+    # eta, the truncation order and the table record are formed in
+    # series_limit._table alone; every route calls it
+    names = {"default_nmax", "eta_from_chi", "FourierCoeffTable"}
+    src = ROOT / "src" / "polyfourier"
+    assert _names_used(src / "series_limit.py", names) == {"_table": names}
+    assert _names_used(src / "series_algebraic.py", names) == {}
+    routes = {"series_limit": ("power_series", "inverse_power_series", "log_series_limit"),
+              "series_algebraic": ("log_series_algebraic",)}
+    for module, funcs in routes.items():
+        used = _names_used(src / f"{module}.py", {"_table"})
+        assert {f: {"_table"} for f in funcs}.items() <= used.items(), module
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 10 and result.failed == 0

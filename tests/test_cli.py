@@ -336,6 +336,18 @@ def test_coeffs_out_of_float_range_exits_2(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p,chi,shown", [
+    ("3", "5.4e102", "5.4e+102"),
+    ("2", "1.2696591750569586e154", "1.2696591750569586e+154"),
+])
+def test_coeffs_log_term_overflow_names_the_table(capsys, p, chi, shown):
+    # the default (algebraic) route printed "error: math range error"
+    code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", "--p", p, "--chi", chi)
+    assert code == 2 and out == ""
+    assert err == (f"error: log table at p={p}, chi={shown}: "
+                   "coefficient out of the float range (inf, nan or overflow)\n")
+
+
 def test_coeffs_log_past_the_expm1_overflow(capsys):
     # eta ~ 499.3: 2/expm1(2 eta) overflowed and the command exited 2 with
     # "math range error"; c_0 = eta - log 2 = log(chi) and c_1 = -2 e^{-eta}

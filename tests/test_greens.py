@@ -18,6 +18,7 @@ from polyfourier import (
     li_direct,
     li_expansion,
     li_truncation,
+    log_series_algebraic,
 )
 from polyfourier.greens import DegenerateGeometryError, kernel_table
 from polyfourier.validation import verify_axisym_dual
@@ -333,6 +334,19 @@ def test_hii_expansion_scale_overflow_is_a_value_error():
     g = Geometry(1e-100, 1.1e-100, 0.0)
     with pytest.raises(ValueError, match=r"\(2RR'\)\^-q overflows"):
         hii_expansion(SolutionParams(6, 1), g)
+
+
+def test_algebraic_term_overflow_is_a_value_error_naming_the_table():
+    # e^{k eta} R_3^k(cosh eta) overflows at eta ~ 236.9, below the sinh(eta)^3
+    # bound; each call raised the raw OverflowError "math range error"
+    chi = 5.4e102
+    named = r"^log table at p=3, chi=5\.4e\+102: coefficient out of the float range"
+    with pytest.raises(ValueError, match=named):
+        log_series_algebraic(3, chi)
+    with pytest.raises(ValueError, match=named):
+        kernel_table("log", 3, chi)
+    with pytest.raises(ValueError, match=named):
+        li_expansion(SolutionParams(2, 4), Geometry(1.0, 1.0, 2.0 * (chi - 1.0)))
 
 
 def test_infinite_chi_geometry_is_refused():

@@ -13,7 +13,15 @@ import math
 
 import pytest
 
-from polyfourier import log_series_algebraic, log_series_limit, power_series
+from polyfourier import (
+    Geometry,
+    SolutionParams,
+    li_expansion,
+    log_series_algebraic,
+    log_series_limit,
+    power_series,
+)
+from polyfourier.cli import main
 from polyfourier.series_algebraic import p_frak, q_frak, r_frak, re_frak
 
 ETA = 0.7
@@ -119,6 +127,17 @@ def test_both_routes_share_metadata_and_values():
         assert a.coeffs[n] == pytest.approx(b.coeffs[n], rel=1e-12, abs=1e-15)
 
 
-def test_conditioning_flag_for_small_eta():
+def test_conditioning_flag_for_small_eta(capsys):
     assert log_series_algebraic(1, math.cosh(0.1), 8).conditioning_warning
     assert not log_series_algebraic(1, math.cosh(0.5), 8).conditioning_warning
+    # the li table carries its log route's flag; the limit route has none
+    geom = Geometry(1.0, 1.0, 2.0 * (math.cosh(0.1) - 1.0))
+    assert li_expansion(SolutionParams(2, 3), geom, method="algebraic").conditioning_warning
+    assert not li_expansion(SolutionParams(2, 3), geom, method="limit").conditioning_warning
+    assert not log_series_limit(1, math.cosh(0.1), 8).conditioning_warning
+    # the CLI warns on stderr and prints the same rows on stdout
+    assert main(["coeffs", "--kernel", "log", "--p", "1", "--chi", "1.005", "--nmax", "8"]) == 0
+    out, err = capsys.readouterr()
+    rows = log_series_algebraic(1, 1.005, 8).coeffs
+    assert out == "n,coefficient\n" + "".join(f"{n},{c:.17g}\n" for n, c in enumerate(rows))
+    assert err == "warning: eta < 0.2, tail entries are absolute-accurate only\n"

@@ -20,13 +20,18 @@ def test_metadata_validation():
     with pytest.raises(ValueError):
         make(method="guess")
     with pytest.raises(ValueError):
+        make(method="oracle")  # the CLI's oracle rows are a list, never a table
+    with pytest.raises(ValueError):
         FourierCoeffTable("log", 1, 0.5, 0.1, "limit", (1.0,))  # chi <= 1
 
 
 def test_non_finite_coefficients_are_refused():
+    # the refusal names the table: kernel, p (q for an inverse power) and chi
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^log table at p=1, chi=2\.0: coefficient out"):
             make(coeffs=(1.0, bad, 0.25))
+    with pytest.raises(ValueError, match=r"^inverse_power table at q=1, chi=2\.0: "):
+        make(kernel="inverse_power", method="closed_form", coeffs=(math.nan,))
 
 
 def test_nmax_counts_from_zero():
