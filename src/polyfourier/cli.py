@@ -109,6 +109,12 @@ def _cmd_logpoly(args) -> int:
     return 0
 
 
+def _warn_if_ill_conditioned(table):
+    """The stderr line that coeffs and greens print for an ill-conditioned table."""
+    if table.conditioning_warning:
+        print("warning: eta < 0.2, tail entries are absolute-accurate only", file=sys.stderr)
+
+
 def _coeffs_table(args):
     kernel = "inverse_power" if args.kernel == "inverse" else args.kernel
     if kernel == "inverse_power":
@@ -129,8 +135,7 @@ def _coeffs_table(args):
         coeffs = [quad_fourier_coeff(kernel, param, args.chi, n) for n in range(top + 1)]
         return kernel, param, "oracle", coeffs
     t = kernel_table(kernel, param, args.chi, nmax, args.method)
-    if t.conditioning_warning:
-        print("warning: eta < 0.2, tail entries are absolute-accurate only", file=sys.stderr)
+    _warn_if_ill_conditioned(t)
     top = t.nmax if nmax is None else nmax
     return kernel, param, t.method, [t.coeff(n) for n in range(top + 1)]
 
@@ -191,6 +196,7 @@ def _cmd_greens(args) -> int:
             else:
                 table = hii_expansion(params, geom, args.nmax, args.tol)
                 direct = math.dist(x, xp) ** (2 * params.k - params.d)
+            _warn_if_ill_conditioned(table)
             recon = table.reconstruct(geom.psi)
             recon_err = abs(recon - direct) / max(1e-300, abs(direct))
             rows += [

@@ -1,7 +1,8 @@
 """Associated Legendre functions of the first kind on the real axis z > 1,
 for integer degree and any integer order, plus degree-derivatives at integer
-degree.  The real-degree series that checks the degree-derivatives is a
-reference construction in validation.
+degree, whose two finite degree sums (_degree_sums) the log-kernel band
+coefficient of series_limit shares, weighted by w_n.  The real-degree series
+that checks the degree-derivatives is a reference construction in validation.
 
 Evaluation strategy (all branches are cancellation-free for z > 1):
 
@@ -181,31 +182,17 @@ def _exact_scaled_logpoly(pt: ExactLegendreArg, p: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _poly_coeffs(p: int) -> tuple[Fraction, ...]:
-    """Exact monomial coefficients of the Legendre polynomial P_p."""
-    coeffs = [Fraction(0)] * (p + 1)
-    for j in range(p // 2 + 1):
-        c = Fraction((-1) ** j * math.comb(p, j) * math.comb(2 * p - 2 * j, p), 2**p)
-        coeffs[p - 2 * j] = c
-    return tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
 def taylor_coeffs_at1(p: int, m: int) -> tuple[Fraction, ...]:
-    """Exact Taylor coefficients about z = 1 of d^m P_p / dz^m (0 <= m <= p).
-
-    Built from the exact polynomial by symbolic differentiation and shift;
-    all entries are positive, equal to (p+m+j)! / (2^{m+j} (m+j)! (p-m-j)! j!).
-    """
+    """Exact Taylor coefficients about z = 1 of d^m P_p / dz^m (0 <= m <= p):
+    the closed form (p+m+j)! / (2^{m+j} (m+j)! (p-m-j)! j!), j = 0..p-m, all
+    positive."""
     if not 0 <= m <= p:
         raise ValueError("taylor_coeffs_at1 needs 0 <= m <= p")
-    mono = list(_poly_coeffs(p))
-    for _ in range(m):
-        mono = [i * c for i, c in enumerate(mono)][1:]
-    shifted = [Fraction(0)] * len(mono)
-    for j in range(len(mono)):
-        shifted[j] = sum(math.comb(i, j) * mono[i] for i in range(j, len(mono)))
-    return tuple(shifted)
+    f = math.factorial
+    return tuple(
+        Fraction(f(p + m + j), 2 ** (m + j) * f(m + j) * f(p - m - j) * f(j))
+        for j in range(p - m + 1)
+    )
 
 
 def _neg_order_sum(pt, p: int, n: int):
@@ -252,32 +239,30 @@ def legendre_p_exact(p: int, m: int, t: Fraction) -> Fraction:
     return _legendre(ExactLegendreArg(t), p, m)
 
 
-def _degree_sum_same_order(pt, p: int, m: int):
-    """sum_{k<p-m} (-1)^k w_k P_{k+m}^m: the same-order part of the degree
-    derivative at 0 <= m <= p, shared with the log-kernel band coefficient.
-    Each weight is assembled exactly, then cast by the point."""
-    acc = 0
-    for k in range(p - m):
-        w = Fraction(2 * k + 2 * m + 1, (p - m - k) * (p + m + k + 1)) * (
-            1
-            + Fraction(
-                math.factorial(k) * math.factorial(p + m),
-                math.factorial(k + 2 * m) * math.factorial(p - m),
-            )
-        )
-        acc += (-1) ** k * pt.weight(w) * pt.cached(_legendre, k + m, m)
-    return acc
-
-
-def _degree_sum_neg_order(pt, p: int, m: int):
-    """sum_{k<m} (-1)^k (2k+1)/((p-k)(p+k+1)) P_k^{-m}: the negative-order
-    part of the degree derivative at 0 <= m <= p, shared with the band
-    coefficient."""
-    acc = 0
-    for k in range(m):
-        w = Fraction(2 * k + 1, (p - k) * (p + k + 1))
-        acc += (-1) ** k * pt.weight(w) * pt.cached(_legendre, k, -m)
-    return acc
+def _degree_sums(pt, p: int, m: int, w, scale):
+    """The degree derivative's two finite sums at 0 <= m <= p, as a list of
+    terms: (-1)^{p+m} S_same for m <= p-1 and (-1)^p (p+m)!/(p-m)! S_neg for
+    m >= 1, S_same = sum_{k<p-m} (-1)^k c_k P_{k+m}^m with
+    c_k = (2k+2m+1)/((p-m-k)(p+m+k+1)) (1 + k! (p+m)!/((k+2m)! (p-m)!)) and
+    S_neg = sum_{k<m} (-1)^k (2k+1)/((p-k)(p+k+1)) P_k^{-m}.  Each prefactor
+    is folded into the exact weight w before the point casts it; each term is
+    then multiplied by scale."""
+    f = math.factorial
+    terms = []
+    if m <= p - 1:
+        s = 0
+        for k in range(p - m):
+            c = Fraction(f(k) * f(p + m), f(k + 2 * m) * f(p - m)) + 1
+            c *= Fraction(2 * k + 2 * m + 1, (p - m - k) * (p + m + k + 1))
+            s += (-1) ** k * pt.weight(c) * pt.cached(_legendre, k + m, m)
+        terms.append(pt.weight((-1) ** (p + m) * w) * scale * s)
+    if m >= 1:
+        s = 0
+        for k in range(m):
+            c = Fraction(2 * k + 1, (p - k) * (p + k + 1))
+            s += (-1) ** k * pt.weight(c) * pt.cached(_legendre, k, -m)
+        terms.append(pt.weight((-1) ** p * Fraction(f(p + m), f(p - m)) * w) * scale * s)
+    return terms
 
 
 def legendre_deg_deriv(p: int, m: int, z: float) -> float:
@@ -299,7 +284,4 @@ def legendre_deg_deriv(p: int, m: int, z: float) -> float:
     # 2 psi(2p+1) - psi(p+1) - psi(p-m+1), exact
     dig = 2 * harmonic(2 * p) - harmonic(p) - harmonic(p - m)
     out += float(dig) * _legendre(pt, p, m)
-    out += (-1) ** (p + m) * _degree_sum_same_order(pt, p, m)
-    w = Fraction(math.factorial(p + m), math.factorial(p - m))
-    out += (-1) ** p * float(w) * _degree_sum_neg_order(pt, p, m)
-    return out
+    return sum(_degree_sums(pt, p, m, Fraction(1), 1.0), out)

@@ -19,12 +19,11 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def harmonic(j: int) -> Fraction:
-    """j-th harmonic number sum_{i=1}^{j} 1/i as an exact rational; H_0 = 0."""
+    """j-th harmonic number sum_{i=1}^{j} 1/i as an exact rational; H_0 = 0.
+    Summed by a loop, so no j meets the recursion limit."""
     if j < 0:
         raise ValueError("harmonic number needs j >= 0")
-    if j == 0:
-        return Fraction(0)
-    return harmonic(j - 1) + Fraction(1, j)
+    return sum((Fraction(1, i) for i in range(1, j + 1)), Fraction(0))
 
 
 def digamma_diff(a: int, b: int) -> Fraction:

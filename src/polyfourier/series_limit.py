@@ -16,9 +16,12 @@ Every closed form here (power, band, tail and inverse-power coefficient)
 takes that point, so the identity suite evaluates this same code at the
 exact point.  Every rational weight is accumulated as a Fraction and
 rounded once by the point.  The power term (eta - log 2) f_n, which both
-log routes add for n <= p, is written once here.  Tail terms n >= p+1
-combine (n-p-1)!/n!, e^{-n eta} and the positive Gauss sum so that nothing
-overflows for large n eta.
+log routes add for n <= p, is written once here, as is f_n's weight w_n =
+eps_n (-p)_n (p-n)!/(p+n)! (_power_weight).  The band coefficient, f_n's
+exponent derivative, weights by w_n its digamma term and the two degree
+sums it shares with legendre_deg_deriv (legendre._degree_sums).  Tail
+terms n >= p+1 combine (n-p-1)!/n!, e^{-n eta} and the positive Gauss sum
+so that nothing overflows for large n eta.
 """
 
 from __future__ import annotations
@@ -26,13 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .legendre import (
-    LegendreArg,
-    _degree_sum_neg_order,
-    _degree_sum_same_order,
-    _legendre,
-    _neg_order_sum,
-)
+from .legendre import LegendreArg, _degree_sums, _legendre, _neg_order_sum
 from .scalars import eta_from_chi, harmonic, neumann, pochhammer
 from .tables import FourierCoeffTable, default_nmax
 
@@ -63,11 +60,15 @@ def _table(kernel, method, param, chi, coefficient, nmax=None, tail_tol=1e-10, n
     return FourierCoeffTable(kernel, param, chi, eta, method, coeffs)
 
 
+def _power_weight(p: int, n: int) -> Fraction:
+    """w_n = eps_n (-p)_n (p-n)!/(p+n)!, the exact weight of f_n, 0 <= n <= p."""
+    return Fraction(neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
+
+
 def _power_coefficient(pt, p: int, n: int):
     if not 0 <= n <= p:
         raise ValueError("power_coefficient needs 0 <= n <= p")
-    w = Fraction(neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
-    return pt.weight(w) * pt.sinh_pow(p) * pt.cached(_legendre, p, n)
+    return pt.weight(_power_weight(p, n)) * pt.sinh_pow(p) * pt.cached(_legendre, p, n)
 
 
 def power_coefficient(p: int, n: int, eta: float) -> float:
@@ -119,20 +120,15 @@ def log_tail_coefficient(p: int, n: int, eta: float) -> float:
 
 
 def _log_band_coefficient(pt, p: int, n: int):
-    """Non-tail entry (0 <= n <= p), without the (eta - log 2) power term."""
+    """Non-tail entry (0 <= n <= p), without the (eta - log 2) power term:
+    the exponent derivative of f_n, w_n sinh^p(eta) times the degree-digamma
+    block and the two degree sums of legendre_deg_deriv."""
     sph = pt.sinh_pow(p)
-    fp = math.factorial(p)
+    w = _power_weight(p, n)
     # degree-digamma block: 2 psi(2p+1) - psi(p+1+n) - psi(p+1-n), exact
     dig = 2 * harmonic(2 * p) - harmonic(p + n) - harmonic(p - n)
-    w = Fraction((-1) ** n * neumann(n) * fp, math.factorial(p + n)) * dig
-    terms = [pt.weight(w) * sph * pt.cached(_legendre, p, n)]
-    if n <= p - 1:
-        w = Fraction((-1) ** p * neumann(n) * fp, math.factorial(p + n))
-        terms.append(pt.weight(w) * sph * _degree_sum_same_order(pt, p, n))
-    if n >= 1:
-        w = Fraction(2 * (-1) ** (p + n) * fp, math.factorial(p - n))
-        terms.append(pt.weight(w) * sph * _degree_sum_neg_order(pt, p, n))
-    return pt.total(terms)
+    head = pt.weight(w * dig) * sph * pt.cached(_legendre, p, n)
+    return pt.total([head, *_degree_sums(pt, p, n, w, sph)])
 
 
 def _log_coefficient(pt, p: int, n: int):

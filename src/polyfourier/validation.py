@@ -377,6 +377,9 @@ def verify_axisym_dual(
 # ---------------------------------------------------------------------------
 # grid driver
 
+_ORACLE_TOL = 1e-8  # relative tolerance of the suite's oracle reports at eta >= 0.5
+_ORACLE_TOL_SMALL_ETA = 1e-6  # and below eta = 0.5
+
 
 def run_validation_suite(
     pmax: int = 10,
@@ -385,7 +388,6 @@ def run_validation_suite(
     tol: float = 1e-9,
     floor: float = 1e-12,
     include_oracle: bool = True,
-    oracle_tol: float = 1e-8,
 ) -> list[ValidationReport]:
     """Identity suite + cross-route + oracle + dual-form reports on a grid."""
     if pmax < 0:
@@ -408,7 +410,7 @@ def run_validation_suite(
     if include_oracle:
         for eta in etas:
             chi = math.cosh(eta)
-            otol = oracle_tol if eta >= 0.5 else 1e-6
+            otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
             for p in range(0, min(pmax, 5) + 1):
                 reports.extend(
                     oracle_reports("power", p, chi, p, "closed_form", otol, floor)

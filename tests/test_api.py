@@ -106,6 +106,28 @@ def test_series_tables_are_built_in_one_pipeline():
         assert {f: {"_table"} for f in funcs}.items() <= used.items(), module
 
 
+def _functions(path: Path) -> dict[str, ast.FunctionDef]:
+    return {stmt.name: stmt for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, ast.FunctionDef)}
+
+
+def test_degree_sums_and_power_weight_are_written_once():
+    src = ROOT / "src" / "polyfourier"
+    defined = {name for module in src.glob("*.py") for name in _functions(module)}
+    assert not {"_degree_sum_same_order", "_degree_sum_neg_order", "_poly_coeffs"} & defined
+    # the degree derivative and the band coefficient share the two degree sums
+    assert set(_names_used(src / "legendre.py", {"_degree_sums"})) == {"legendre_deg_deriv"}
+    assert set(_names_used(src / "series_limit.py", {"_degree_sums"})) == {"_log_band_coefficient"}
+    # f_n's weight w_n = eps_n (-p)_n (p-n)!/(p+n)! is spelled in _power_weight alone
+    assert set(_names_used(src / "series_limit.py", {"_power_weight"})) == {
+        "_power_coefficient", "_log_band_coefficient"}
+    spellers = {name for name, fn in _functions(src / "series_limit.py").items()
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "Fraction"
+                and "math.factorial(p + n)" in map(ast.unparse, node.args)}
+    assert spellers == {"_power_weight"}
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 10 and result.failed == 0

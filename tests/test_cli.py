@@ -214,6 +214,16 @@ def test_greens_power_regime_json(capsys):
     assert len(doc["coeffs"]) == doc["n_terms"]
 
 
+def test_greens_warns_as_coeffs_does_on_an_ill_conditioned_li_table(capsys):
+    # eta = 0.005: the algebraic route's li table carries conditioning_warning
+    argv = ["greens", "--d", "2", "--k", "3", "--x", "1,0", "--xp", "1.0,0.1"]
+    code, out, err = run_cli(capsys, *argv, "--method", "algebraic")
+    assert code == 0 and "n,coefficient" in out
+    assert err == "warning: eta < 0.2, tail entries are absolute-accurate only\n"
+    code, out, err = run_cli(capsys, *argv, "--method", "limit")
+    assert code == 0 and "n,coefficient" in out and err == ""
+
+
 def test_greens_usage_errors(capsys):
     code, _, err = run_cli(capsys, "greens", "--d", "2", "--k", "1",
                            "--x", "1,0,0", "--xp", "0,0")

@@ -79,23 +79,25 @@ def test_three_term_recurrence_in_degree():
                 assert abs(up - (mid - down)) <= 1e-12 * scale
 
 
-def test_taylor_coefficients_match_factorial_formula():
-    # j-th coefficient of the m-th derivative of P_p expanded at 1:
-    # (p+m+j)! / (2^{m+j} (m+j)! (p-m-j)! j!).
-    for p in range(11):
+def _taylor_coeffs_by_differentiation(p: int, m: int) -> tuple[Fraction, ...]:
+    """Reference: the monomial coefficients of P_p, differentiated m times
+    and shifted to z = 1 by the binomial theorem."""
+    mono = [Fraction(0)] * (p + 1)
+    for j in range(p // 2 + 1):
+        mono[p - 2 * j] = Fraction((-1) ** j * math.comb(p, j) * math.comb(2 * p - 2 * j, p), 2**p)
+    for _ in range(m):
+        mono = [i * c for i, c in enumerate(mono)][1:]
+    return tuple(
+        sum(math.comb(i, j) * mono[i] for i in range(j, len(mono))) for j in range(len(mono))
+    )
+
+
+def test_taylor_coefficients_match_differentiated_polynomial():
+    # the closed form (p+m+j)! / (2^{m+j} (m+j)! (p-m-j)! j!) against the
+    # m-th derivative of the monomial form of P_p, re-expanded about z = 1
+    for p in range(16):
         for m in range(p + 1):
-            got = taylor_coeffs_at1(p, m)
-            want = tuple(
-                Fraction(
-                    math.factorial(p + m + j),
-                    2 ** (m + j)
-                    * math.factorial(m + j)
-                    * math.factorial(p - m - j)
-                    * math.factorial(j),
-                )
-                for j in range(p - m + 1)
-            )
-            assert got == want
+            assert taylor_coeffs_at1(p, m) == _taylor_coeffs_by_differentiation(p, m)
 
 
 def test_negative_order_sum_is_positive_and_terminates():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polyfourier import beta_pd, eta_from_chi, harmonic
+from polyfourier import SolutionParams, beta_pd, eta_from_chi, harmonic, li_direct
 from polyfourier.scalars import digamma_diff, neumann, pochhammer
 
 
@@ -21,6 +21,18 @@ def test_harmonic_values():
 def test_harmonic_rejects_negative():
     with pytest.raises(ValueError):
         harmonic(-1)
+
+
+def test_harmonic_past_the_recursion_limit_on_a_cold_cache():
+    # each call starts from an empty cache, so no smaller H_j is kept to build on
+    j = sys.getrecursionlimit() + 500
+    harmonic.cache_clear()
+    fj = math.factorial(j)
+    assert harmonic(j) == Fraction(sum(fj // i for i in range(1, j + 1)), fj)
+    harmonic.cache_clear()
+    assert beta_pd(1200, 2) == (harmonic(1200) + harmonic(1200)) / 2
+    harmonic.cache_clear()
+    assert li_direct(SolutionParams(2, 1201), (0.5, 0.0), (0.0, 0.0)) == 0.0  # 0.5^2400 underflows
 
 
 @given(st.integers(min_value=0, max_value=400))

@@ -12,7 +12,10 @@ import pytest
 
 from polyfourier import (
     default_nmax,
+    harmonic,
     inverse_power_series,
+    legendre_deg_deriv,
+    legendre_p,
     log_series_algebraic,
     log_series_limit,
     power_series,
@@ -208,6 +211,24 @@ def test_band_and_tail_match_their_exact_evaluation():
                 want = coeff(xpt, p, n)
                 err = abs(Fraction(coeff(fpt, p, n)) - want)
                 assert err <= Fraction(1e-11) * abs(want), (p, n, eta, float(err / want))
+
+
+def test_band_coefficient_is_the_degree_derivative_of_the_power_coefficient():
+    # d f_n / d p with f_n = w_n sinh^p(eta) P_p^n(z), z = coth eta, taken
+    # through the public legendre_deg_deriv, whose finite-difference check is
+    # criterion 5: w_n sinh^p [dP/dnu + (H_p - H_{p+n} - log((z+1)/2)) P]
+    for eta in (0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
+        pt, z = LegendreArg.from_eta(eta), 1.0 / math.tanh(eta)
+        for p in range(11):
+            for n in range(p + 1):
+                eps = 1 if n == 0 else 2
+                w = eps * (-1) ** n * Fraction(math.factorial(p), math.factorial(p + n))
+                scale = float(w) * math.sinh(eta) ** p
+                f = scale * legendre_p(p, n, z)
+                shift = float(harmonic(p) - harmonic(p + n)) - math.log((z + 1.0) / 2.0)
+                want = scale * legendre_deg_deriv(p, n, z) + shift * f
+                got = _log_band_coefficient(pt, p, n)
+                assert abs(got - want) <= 1e-10 * max(abs(got), abs(f)), (p, n, eta)
 
 
 def test_default_nmax_tail_bound_and_increment():
