@@ -278,8 +278,11 @@ def legendre_deg_deriv(p: int, m: int, z: float) -> float:
         raise ValueError("legendre_deg_deriv handles m >= 0 only")
     pt = LegendreArg.from_z(z)
     if m >= p + 1:
-        w = math.factorial(p + m) * math.factorial(m - p - 1)
-        return (-1) ** (p + m + 1) * w * _legendre(pt, p, -m)
+        # (-1)^{p+m+1} (p+m)! (m-p-1)! P_p^{-m}; the 1/m! of P_p^{-m} joins the
+        # weight before the cast, as from m ~ 100 the factorials overflow alone
+        f = math.factorial
+        w = Fraction((-1) ** (p + m + 1) * f(p + m) * f(m - p - 1), f(m))
+        return pt.weight(w) * pt.exp(-m) * _neg_order_sum(pt, p, m)
     out = math.log((z + 1.0) / 2.0) * _legendre(pt, p, m)
     # 2 psi(2p+1) - psi(p+1) - psi(p-m+1), exact
     dig = 2 * harmonic(2 * p) - harmonic(p) - harmonic(p - m)

@@ -12,7 +12,8 @@ at q = p+1).  Both sides are rational functions of t = e^eta, so the suite
 evaluates the production closed forms themselves at the exact point
 t = Fraction(e^eta) (ExactLegendreArg): a true identity yields error exactly
 0.  Double precision could not do this -- at p = 10, eta = 5, n = 50 the
-left side cancels through ~13 digits.
+left side cancels through ~13 digits.  So the exact checks take no
+tolerance: their reports carry tol = floor = 0 and pass on equality alone.
 
 Each check takes its point from ExactLegendreArg.from_eta, which shares one
 point per eta from a cache of the two most recent eta (the suite walks eta
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .greens import Geometry, SolutionParams, axisym_component, kernel_table, li_expansion
 from .legendre import ExactLegendreArg
-from .logpoly import _HALF, LogPolynomial, _shift_add
+from .logpoly import LogPolynomial
 from .scalars import neumann
 from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
 from .series_limit import (
@@ -75,7 +76,9 @@ __all__ = [
 @dataclass(frozen=True)
 class ValidationReport:
     """One checked equality, with the two-tier pass rule
-    (relative <= tol) or (absolute <= floor)."""
+    (relative <= tol) or (absolute <= floor).  The exact identity rows carry
+    tol = floor = 0, so they pass only when the two sides are equal; equal
+    sides report zero errors."""
 
     identity: str
     p: int
@@ -90,10 +93,11 @@ class ValidationReport:
     passed: bool
 
 
-def _report(identity, p, n, eta, lhs, rhs, tol, floor, extra_ok: bool = True):
-    abs_err = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    rel_err = abs_err / scale if scale > 0.0 else 0.0
+def _report(identity, p, n, eta, lhs, rhs, tol=0.0, floor=0.0, extra_ok: bool = True):
+    abs_err = rel_err = 0.0
+    if lhs != rhs:
+        abs_err = abs(lhs - rhs)
+        rel_err = abs_err / max(abs(lhs), abs(rhs))
     passed = (rel_err <= tol or abs_err <= floor) and extra_ok
     return ValidationReport(
         identity, p, n, eta, float(lhs), float(rhs), float(abs_err), float(rel_err),
@@ -110,26 +114,25 @@ def logpoly_difference_algorithm(p: int) -> dict[int, LogPolynomial]:
 
     Interior update a_n(m) = 1/2 a_n(m-1) + x a_{n-1}(m-1) + 1/2 a_{n-2}(m-1);
     the diagonal entry folds the k-symmetry, a_m(m) = x a_{m-1}(m-1) + a_{m-2}(m-1).
+    The coefficient arithmetic is its own, shared with no production module.
     """
     if p < 0:
         raise ValueError("logpoly_difference_algorithm needs p >= 0")
     # level[n] holds the coefficient tuple of a_n(m) while sweeping m = 0..p
     level: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+
+    def x_pow(shift, n, size):
+        # x^shift a_n(m-1) as `size` coefficients; a_n = 0 for n < 0
+        c = level[n] if n >= 0 else ()
+        return (Fraction(0),) * shift + c + (Fraction(0),) * (size - shift - len(c))
+
     for m in range(1, p + 1):
-        nxt: list[tuple[Fraction, ...]] = []
+        nxt = []
         for n in range(m):
-            out = [Fraction(0)] * (n + 1)
-            _shift_add(out, level[n], 0, _HALF)
-            if n >= 1:
-                _shift_add(out, level[n - 1], 1, Fraction(1))
-            if n >= 2:
-                _shift_add(out, level[n - 2], 0, _HALF)
-            nxt.append(tuple(out))
-        out = [Fraction(0)] * (m + 1)
-        _shift_add(out, level[m - 1], 1, Fraction(1))
-        if m >= 2:
-            _shift_add(out, level[m - 2], 0, Fraction(1))
-        nxt.append(tuple(out))
+            a, b, c = x_pow(0, n, n + 1), x_pow(1, n - 1, n + 1), x_pow(0, n - 2, n + 1)
+            nxt.append(tuple(ai / 2 + bi + ci / 2 for ai, bi, ci in zip(a, b, c)))
+        b, c = x_pow(1, m - 1, m + 1), x_pow(0, m - 2, m + 1)
+        nxt.append(tuple(bi + ci for bi, ci in zip(b, c)))
         level = nxt
     table = {}
     for k in range(-p, p + 1):
@@ -245,45 +248,35 @@ def quad_fourier_coeff(
 # exact-rational identity checks (t = e^eta)
 
 
-def _band_report(identity, p, n, eta, tol, floor) -> ValidationReport:
+def _band_report(identity, p, n, eta) -> ValidationReport:
     pt = ExactLegendreArg.from_eta(eta)
-    lhs = _p_frak(pt, n, p)
-    rhs = _log_band_coefficient(pt, p, n)
-    return _report(identity, p, n, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
+    return _report(identity, p, n, eta, _p_frak(pt, n, p), _log_band_coefficient(pt, p, n))
 
 
-def verify_identity_n0(
-    p: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
-) -> ValidationReport:
+def verify_identity_n0(p: int, eta: float) -> ValidationReport:
     """Constant-mode identity: the algebraic sum p_frak(0) against the limit
     route's band coefficient (Legendre/digamma closed form)."""
     if p < 1:
         raise ValueError("verify_identity_n0 needs p >= 1")
-    return _band_report("n0", p, 0, eta, tol, floor)
+    return _band_report("n0", p, 0, eta)
 
 
-def verify_identity_mid(
-    p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
-) -> ValidationReport:
+def verify_identity_mid(p: int, n: int, eta: float) -> ValidationReport:
     """Middle-band identity (1 <= n <= p-1): p_frak(n) against the band
     coefficient."""
     if not (p >= 2 and 1 <= n <= p - 1):
         raise ValueError("verify_identity_mid needs p >= 2 and 1 <= n <= p-1")
-    return _band_report("mid", p, n, eta, tol, floor)
+    return _band_report("mid", p, n, eta)
 
 
-def verify_identity_np(
-    p: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
-) -> ValidationReport:
+def verify_identity_np(p: int, eta: float) -> ValidationReport:
     """Edge identity at n = p: p_frak(p) against the band coefficient."""
     if p < 1:
         raise ValueError("verify_identity_np needs p >= 1")
-    return _band_report("np", p, p, eta, tol, floor)
+    return _band_report("np", p, p, eta)
 
 
-def verify_identity_tail(
-    p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
-) -> ValidationReport:
+def verify_identity_tail(p: int, n: int, eta: float) -> ValidationReport:
     """Tail identity (n >= p+1): p_frak(n) against log_tail_coefficient.
 
     Also checks the equivalent inverse-power rewriting: with q = p+1, the
@@ -301,13 +294,11 @@ def verify_identity_tail(
     rewrite = Fraction((-1) ** q * neumann(n) * grow, 2 * math.factorial(q - 1) ** 2) * (
         lhs / pt.sinh_pow(2 * q - 1)
     )
-    ok = lhs == rhs and rewrite == _inverse_coefficient(pt, q, n)
-    return _report("tail", p, n, eta, lhs, rhs, tol, floor, extra_ok=ok)
+    ok = rewrite == _inverse_coefficient(pt, q, n)
+    return _report("tail", p, n, eta, lhs, rhs, extra_ok=ok)
 
 
-def verify_re_closed_form(
-    p: int, n: int, eta: float, tol: float = 1e-9, floor: float = 1e-12
-) -> ValidationReport:
+def verify_re_closed_form(p: int, n: int, eta: float) -> ValidationReport:
     """Rescaled tail sum re_frak against (n+p)!/(n-p-1)! e^{n eta} times the
     tail coefficient, i.e. 2 (-1)^{p+1} p! (p+n)! e^{n eta} sinh^p(eta)
     P_p^{-n}(coth eta)."""
@@ -317,7 +308,7 @@ def verify_re_closed_form(
     lhs = _re_frak(pt, n, p)
     grow = math.prod(range(n - p, n + p + 1))
     rhs = grow * pt.exp(n) * _log_tail_coefficient(pt, p, n)
-    return _report("re_closed_form", p, n, eta, lhs, rhs, tol, floor, extra_ok=lhs == rhs)
+    return _report("re_closed_form", p, n, eta, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +380,26 @@ def run_validation_suite(
     floor: float = 1e-12,
     include_oracle: bool = True,
 ) -> list[ValidationReport]:
-    """Identity suite + cross-route + oracle + dual-form reports on a grid."""
+    """Identity suite + cross-route + oracle + dual-form reports on a grid.
+
+    tol and floor govern the float comparisons only: tol the cross-route
+    rows, floor those and the oracle and dual-form rows.  The exact identity
+    rows pass on equality alone."""
     if pmax < 0:
         raise ValueError("run_validation_suite needs pmax >= 0")
+    if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
+        raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
     reports: list[ValidationReport] = []
     for eta in etas:
         for p in range(1, pmax + 1):
-            reports.append(verify_identity_n0(p, eta, tol, floor))
-            reports.append(verify_identity_np(p, eta, tol, floor))
+            reports.append(verify_identity_n0(p, eta))
+            reports.append(verify_identity_np(p, eta))
             for n in range(1, p):
-                reports.append(verify_identity_mid(p, n, eta, tol, floor))
+                reports.append(verify_identity_mid(p, n, eta))
         for p in range(0, pmax + 1):
             for n in range(p + 1, nmax + 1):
-                reports.append(verify_identity_tail(p, n, eta, tol, floor))
-                reports.append(verify_re_closed_form(p, n, eta, tol, floor))
+                reports.append(verify_identity_tail(p, n, eta))
+                reports.append(verify_re_closed_form(p, n, eta))
     for eta in etas:
         chi = math.cosh(eta)
         for p in range(0, pmax + 1):

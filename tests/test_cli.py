@@ -274,6 +274,13 @@ def test_validate_usage_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf"), ("--floor", "nan")])
+def test_validate_refuses_a_bad_tolerance(capsys, flag, value):
+    code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "0.5",
+                             "--nmax", "4", "--no-oracle", flag, value)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_validate_band_free_grid_passes(capsys):
     # with no banded identities in range the remaining checks still pass
     code, out, _ = run_cli(capsys, "validate", "--pmax", "0", "--etas", "1.0",

@@ -237,15 +237,18 @@ def test_degree_derivative_base_case():
 
 
 def test_degree_derivative_above_degree_closed_form():
-    # for m >= p+1 the derivative collapses to a multiple of P_p^{-m}.
-    for (p, m, z) in [(1, 2, 2.0), (2, 4, 1.5), (0, 3, 2.5)]:
-        want = (
-            (-1) ** (p + m + 1)
-            * math.factorial(p + m)
-            * math.factorial(m - p - 1)
-            * legendre_p(p, -m, z)
-        )
-        assert legendre_deg_deriv(p, m, z) == pytest.approx(want, rel=1e-13)
+    # for m >= p+1 the derivative collapses to (-1)^{p+m+1} (p+m)! (m-p-1)!
+    # P_p^{-m}.  From m ~ 100 the factorials alone overflow a float while the
+    # value does not (-1.13e121 at (2, 100, 1.5)), so the weight must be
+    # folded with the 1/m! of P_p^{-m} before it is cast.
+    points = [(1, 2, 2.0), (2, 4, 1.5), (0, 3, 2.5),
+              (2, 90, 1.5), (2, 100, 1.5), (2, 150, 1.5), (3, 165, 3.0), (0, 120, 10.0)]
+    with mpmath.workdps(50):
+        for (p, m, z) in points:
+            want = ((-1) ** (p + m + 1) * math.factorial(p + m) * math.factorial(m - p - 1)
+                    * mpmath.legenp(p, -m, mpmath.mpf(z), type=3))
+            err = float(abs(legendre_deg_deriv(p, m, z) / want - 1))
+            assert err <= 1e-14, (p, m, z, err)
 
 
 def _fd_oracle(p: int, m: int, z: float, h: float = 1e-5) -> float:

@@ -3,6 +3,7 @@ checks, route comparison, and the suite driver."""
 
 import dataclasses
 import functools
+import inspect
 import math
 from fractions import Fraction
 
@@ -112,8 +113,15 @@ def test_report_fields_are_populated():
     assert r.identity == "tail"
     assert (r.p, r.n) == (2, 5)
     assert r.eta == ETA
-    assert r.tol > 0 and r.floor > 0
+    assert r.tol == 0 and r.floor == 0  # an exact row passes on equality alone
     assert isinstance(r.passed, bool)
+
+
+def test_exact_checks_take_no_tolerance():
+    for check in (verify_identity_n0, verify_identity_np):
+        assert list(inspect.signature(check).parameters) == ["p", "eta"]
+    for check in (verify_identity_mid, verify_identity_tail, verify_re_closed_form):
+        assert list(inspect.signature(check).parameters) == ["p", "n", "eta"]
 
 
 def test_route_comparison_on_one_table():
@@ -252,3 +260,16 @@ def test_memo_cannot_hide_a_wrong_closed_form(cold_points, monkeypatch, module, 
     monkeypatch.setattr(module, name, _off_by_tiny(getattr(module, name)))
     report = check(eta)
     assert not report.passed
+
+
+def test_suite_tolerances_never_reach_exact_rows(cold_points, monkeypatch):
+    # a band coefficient off by 1e-30 is far inside tol = floor = 1, yet every
+    # band row fails: the suite's tolerances govern only the float rows
+    monkeypatch.setattr(
+        validation, "_log_band_coefficient", _off_by_tiny(validation._log_band_coefficient)
+    )
+    reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6, tol=1.0, floor=1.0,
+                                   include_oracle=False)
+    assert {"n0", "mid", "np"} <= {r.identity for r in reports}
+    for r in reports:
+        assert r.passed == (r.identity not in ("n0", "mid", "np")), r
