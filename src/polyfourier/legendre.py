@@ -95,7 +95,14 @@ class LegendreArg:
             raise ValueError(f"sinh(eta)^{k} overflows double precision") from None
 
     def cached(self, fn, *args):
-        """fn(self, *args); float values are cheap to recompute, so a plain call."""
+        """fn(self, *args), a plain call: the float point keeps no memo.
+
+        Its values are not cheap: the algebraic route forms every
+        e^{k eta} R_p^k(cosh eta) of scaled_logpoly again for each n, which
+        is most of a default log table's build (85% of a cProfile of 400
+        ring-pair tables).  A memo stays out while the benchmark's tracer
+        counts logpoly evaluations per call and its tests assert those
+        counts; the limit route needs no R_p^k at all."""
         return fn(self, *args)
 
     def scaled_logpoly(self, p: int, k: int) -> float:

@@ -46,17 +46,21 @@ _LOG2 = math.log(2.0)
 
 def _table(kernel, method, param, chi, coefficient, nmax=None, tail_tol=1e-10, nmin=0):
     """Table of coefficient(pt, param, n), n = 0..N, N = nmax or default_nmax
-    and at least nmin; an overflow mid-table is refused as an inf entry."""
+    and at least nmin.  Every route scales by sinh(eta)^param, whose overflow
+    is refused first, by name; any other term out of the float range
+    mid-table (an OverflowError, or fsum meeting +inf and -inf) is refused
+    as an inf entry, which the table names by kernel, param and chi."""
     eta = eta_from_chi(chi)
     if nmax is None:
         nmax = default_nmax(param, eta, tail_tol)
     if nmax < nmin:
         raise ValueError("log series needs nmax >= p+1" if nmin else "nmax must be >= 0")
     pt = LegendreArg.from_eta(eta)
+    pt.sinh_pow(param)
     try:
         coeffs = tuple(coefficient(pt, param, n) for n in range(nmax + 1))
-    except OverflowError:
-        coeffs = (math.inf,)  # refused by the table, which names kernel, param and chi
+    except (OverflowError, ValueError):
+        coeffs = (math.inf,)
     return FourierCoeffTable(kernel, param, chi, eta, method, coeffs)
 
 

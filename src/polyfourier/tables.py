@@ -80,23 +80,39 @@ class FourierCoeffTable:
         -4 sin^2(psi/2) or 4 cos^2(psi/2), which avoids the cancellation
         near psi = 0 and pi: d_k = c_k + lam b_{k+1} + s d_{k+1} and
         b_k = d_k + s b_{k+1} for k = N..1 from b = d = 0, and the sum is
-        c_0 + (lam/2) b_1 + s d_1.  A scalar (or 0-d) psi runs the
-        recurrence on Python floats and returns a float; an array keeps its
-        shape.  A psi that is not finite raises ValueError.
+        c_0 + (lam/2) b_1 + s d_1.  A scalar (or 0-d) psi runs this on
+        Python floats and returns a float.  An array keeps its shape and
+        runs one in-place loop with s folded into the coefficients: where
+        s = -1, (-1)^k d_k and (-1)^k b_k obey the s = +1 recurrence with
+        c'_k = (-1)^k c_k and lam' = -lam = -4 cos^2(psi/2).  Negation is
+        exact, rounding to nearest is symmetric, and every sum keeps the
+        operand order (c + lam b) + d, so the output is bit for bit that of
+        the recurrence in s.  A psi that is not finite raises ValueError.
         """
         psi_arr = np.asarray(psi, dtype=float)
         if not np.isfinite(psi_arr).all():
             raise ValueError("reconstruct needs a finite psi")
-        xp, x = (math, float(psi_arr)) if psi_arr.ndim == 0 else (np, psi_arr)
-        s = xp.copysign(1.0, xp.cos(x))
-        # 1 - s and 1 + s are 0 or 2 exactly, so one half-angle term survives
-        lam = 2.0 * ((1.0 - s) * xp.cos(0.5 * x) ** 2 - (1.0 + s) * xp.sin(0.5 * x) ** 2)
-        b = d = 0.0
-        for c in reversed(self.coeffs[1:]):
-            d = c + lam * b + s * d
-            b = d + s * b
-        total = self.coeffs[0] + 0.5 * lam * b + s * d
-        return float(total) if psi_arr.ndim == 0 else total
+        if psi_arr.ndim == 0:
+            x = float(psi_arr)
+            s = math.copysign(1.0, math.cos(x))
+            # 1 - s and 1 + s are 0 or 2 exactly, so one half-angle term survives
+            lam = 2.0 * ((1.0 - s) * math.cos(0.5 * x) ** 2 - (1.0 + s) * math.sin(0.5 * x) ** 2)
+            b = d = 0.0
+            for c in reversed(self.coeffs[1:]):
+                d = c + lam * b + s * d
+                b = d + s * b
+            return float(self.coeffs[0] + 0.5 * lam * b + s * d)
+        s = np.copysign(1.0, np.cos(psi_arr))
+        half = 0.5 * psi_arr
+        # 0.0 - ... keeps lam' = +0 at psi = 0, as lam is
+        lam = 0.0 - 4.0 * np.where(s < 0.0, np.cos(half) ** 2, np.sin(half) ** 2)
+        b, d, t, u = (np.zeros_like(lam) for _ in range(4))
+        for k in range(self.nmax, 0, -1):
+            np.multiply(lam, b, out=t)
+            t += np.multiply(s, self.coeffs[k], out=u) if k % 2 else self.coeffs[k]
+            d += t
+            b += d
+        return self.coeffs[0] + 0.5 * lam * b + d
 
 
 def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:

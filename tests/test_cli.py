@@ -365,6 +365,20 @@ def test_coeffs_log_term_overflow_names_the_table(capsys, p, chi, shown):
                    "coefficient out of the float range (inf, nan or overflow)\n")
 
 
+@pytest.mark.parametrize("p,chi,shown", [
+    ("2", "1.2696591750569586e154", "1.2696591750569586e+154"),
+    ("3", "5.3826097168734e102", "5.3826097168734e+102"),
+])
+def test_coeffs_limit_band_overflow_names_the_table(capsys, p, chi, shown):
+    # band terms overflow to +inf and -inf one by one before their sum, and
+    # the command printed fsum's own "error: -inf + inf in fsum"
+    code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", "--p", p,
+                             "--method", "limit", "--chi", chi)
+    assert code == 2 and out == ""
+    assert err == (f"error: log table at p={p}, chi={shown}: "
+                   "coefficient out of the float range (inf, nan or overflow)\n")
+
+
 def test_coeffs_log_past_the_expm1_overflow(capsys):
     # eta ~ 499.3: 2/expm1(2 eta) overflowed and the command exited 2 with
     # "math range error"; c_0 = eta - log 2 = log(chi) and c_1 = -2 e^{-eta}

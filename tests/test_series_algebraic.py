@@ -141,3 +141,22 @@ def test_conditioning_flag_for_small_eta(capsys):
     rows = log_series_algebraic(1, 1.005, 8).coeffs
     assert out == "n,coefficient\n" + "".join(f"{n},{c:.17g}\n" for n, c in enumerate(rows))
     assert err == "warning: eta < 0.2, tail entries are absolute-accurate only\n"
+
+
+@pytest.mark.parametrize("p,eta", [(3, 236.74), (3, 236.89), (8, 88.87), (10, 71.07)])
+def test_term_overflow_below_the_sinh_bound_names_the_table(p, eta):
+    # e^{k eta} R_p^k terms of opposite sign overflow to +inf and -inf, and
+    # the table build raised fsum's "-inf + inf in fsum"
+    chi = math.cosh(eta)
+    with pytest.raises(ValueError, match=rf"^log table at p={p}, chi=.*: coefficient out"):
+        log_series_algebraic(p, chi, p + 3)
+
+
+@pytest.mark.parametrize("p,eta", [(8, 118.67), (10, 89.12), (10, 101.6)])
+def test_past_the_sinh_bound_every_route_names_sinh(p, eta):
+    # sinh(eta)^p overflows here; the algebraic route reported fsum's
+    # message at these eta, from terms formed before the power term
+    chi = math.cosh(eta)
+    for route in (log_series_algebraic, log_series_limit):
+        with pytest.raises(ValueError, match=rf"^sinh\(eta\)\^{p} overflows double precision$"):
+            route(p, chi, p + 3)

@@ -130,6 +130,38 @@ def test_reconstruct_scalar_and_array_agree():
         assert np.max(np.abs(t.reconstruct(psi) - scalar)) <= tol
 
 
+def reinsch_reference(coeffs, psi):
+    """The Reinsch recurrence in s = +-1 on whole arrays (math on a 0-d psi)."""
+    x = np.asarray(psi, dtype=float)
+    xp, x = (math, float(x)) if x.ndim == 0 else (np, x)
+    s = xp.copysign(1.0, xp.cos(x))
+    lam = 2.0 * ((1.0 - s) * xp.cos(0.5 * x) ** 2 - (1.0 + s) * xp.sin(0.5 * x) ** 2)
+    b = d = 0.0
+    for c in reversed(coeffs[1:]):
+        d = c + lam * b + s * d
+        b = d + s * b
+    return np.float64(coeffs[0] + 0.5 * lam * b + s * d)
+
+
+def test_reconstruct_is_bit_identical_to_the_signed_recurrence():
+    # folding s into c_k and lam changes no bit: negation is exact and the
+    # operand order of every sum is kept, signed zeros included
+    rng = np.random.default_rng(2024)
+    special = np.array([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                        1.5 * math.pi, 1e-300])
+    grids = [0.3e-3 + np.arange(4096) * (2 * math.pi / 4096),
+             rng.uniform(-7.0, 7.0, (7, 5)), np.array(2.5), special]
+    tables = [make(coeffs=c) for c in (
+        (0.75,), (0.5, -1.25), (1.0, -0.5, 0.25), (0.0,) * 6, (-0.0,) * 3,
+        tuple((-1.0) ** n / (n + 1) for n in range(40)),
+    )]
+    tables += [log_series_limit(2, math.cosh(0.8), 52), log_series_limit(5, math.cosh(0.5), 163)]
+    for t in tables:
+        for psi in grids + list(special):
+            got, want = np.asarray(t.reconstruct(psi)), reinsch_reference(t.coeffs, psi)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (t.nmax, psi)
+
+
 @pytest.mark.parametrize("psi", [
     math.inf, -math.inf, math.nan, np.array([0.1, math.nan]), [0.0, math.inf],
 ])
