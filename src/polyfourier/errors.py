@@ -1,5 +1,24 @@
-"""Shared exception types."""
+"""Shared exception types, and the float-range check of the scalar functions."""
+
+import functools
+import math
 
 
 class ConvergenceError(RuntimeError):
     """An iterative evaluation hit its term/node cap before converging."""
+
+
+def in_float_range(fn):
+    """fn, with an overflow or a result that is not finite raised as ValueError."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{fn.__name__} overflows double precision")
+        return value
+
+    return checked

@@ -13,11 +13,11 @@ kernels handled by the series modules.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import in_float_range
 from .scalars import beta_pd, eta_from_chi
 from .series_algebraic import log_series_algebraic
 from .series_limit import inverse_power_series, log_series_limit, power_series
@@ -134,23 +134,7 @@ def _dist(x: Sequence[float], xprime: Sequence[float]) -> float:
     return r
 
 
-def _in_float_range(fn):
-    """fn, with an overflow or a result that is not finite raised as ValueError."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            value = fn(*args, **kwargs)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ValueError(f"{fn.__name__} overflows double precision")
-        return value
-
-    return checked
-
-
-@_in_float_range
+@in_float_range
 def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Fundamental solution value; logarithmic branch for even d with
     k >= d/2, pure power branch otherwise."""
@@ -168,7 +152,7 @@ def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[flo
     return num * r ** (2 * k - d) / denom
 
 
-@_in_float_range
+@in_float_range
 def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Logarithmic radial profile r^{2k-d} (log r - beta_{p,d}); it carries
     the solution's whole r-dependence in the logarithmic regime."""

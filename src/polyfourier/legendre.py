@@ -13,7 +13,10 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
 * order -n < 0: terminating Gauss sum
       P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} / n! * S_{p,n}(z),
       S_{p,n}(z) = sum_{j=0}^{p} [(-p)_j (p+1)_j / (j! (1+n)_j)] ((1-z)/2)^j,
-  whose terms are again all positive for z > 1.
+  whose terms are again all positive for z > 1.  _neg_order_term writes it
+  once for P_p^{-n}, the degree derivative past m = p, the log tail and the
+  inverse power; the float point casts a weight that would not stay normal
+  scaled by a power of two.
 
 Each closed form here, and those of the series routes built on it, is
 written once over an evaluation point that owns the arithmetic.  LegendreArg
@@ -39,6 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import in_float_range
 from .logpoly import horner, logpoly_eval, logpoly_recurrence
 from .scalars import harmonic
 
@@ -106,11 +110,10 @@ class LegendreArg:
         return fn(self, *args)
 
     def scaled_logpoly(self, p: int, k: int) -> float:
-        """e^{k eta} R_p^k(cosh eta), formed as exp(k eta + log R) when R > 0."""
+        """e^{k eta} R_p^k(cosh eta) as exp(k eta + log R); R > 0 (or inf) at
+        cosh eta >= 1, as R_p^k's coefficients are >= 0, its leading one > 0."""
         val = logpoly_eval(logpoly_recurrence(p, k), math.cosh(self.eta))
-        if val > 0.0:
-            return math.exp(k * self.eta + math.log(val))
-        return math.exp(k * self.eta) * val
+        return math.exp(k * self.eta + math.log(val))
 
 
 @dataclass(frozen=True)
@@ -213,13 +216,26 @@ def _neg_order_sum(pt, p: int, n: int):
     return total
 
 
+@in_float_range
 def neg_order_sum(p: int, n: int, z: float) -> float:
-    """Terminating Gauss sum S_{p,n}(z); all terms positive for z > 1.
-
-    P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} S_{p,n}(z) / n!; callers that must avoid
-    under/overflow fold the exponential prefactor and 1/n! analytically.
-    """
+    """Terminating Gauss sum S_{p,n}(z), all terms positive for z > 1:
+    P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} S_{p,n}(z) / n!, formed by _neg_order_term."""
     return _neg_order_sum(LegendreArg.from_z(z), p, n)
+
+
+def _neg_order_term(pt, p: int, n: int, w, scale):
+    """n! w scale P_p^{-n}(coth eta) = w scale e^{-n eta} S_{p,n}, for an exact
+    weight w that holds P_p^{-n}'s 1/n!.  Where the float point's cast of w is
+    0, subnormal or overflows, it takes w 2^-e (e: w's binary exponent) and
+    scales by 2^e, which rounds nothing while the products stay normal."""
+    try:
+        c = pt.weight(w)
+    except OverflowError:
+        c = 0.0
+    if isinstance(c, float) and abs(c) < 2.0**-1022:  # the exact point's c is exact
+        e = abs(w.numerator).bit_length() - w.denominator.bit_length()
+        return math.ldexp(_neg_order_term(pt, p, n, w / Fraction(2) ** e, scale), e)
+    return c * scale * pt.exp(-n) * pt.cached(_neg_order_sum, p, n)
 
 
 def _legendre(pt, p: int, m: int):
@@ -231,11 +247,10 @@ def _legendre(pt, p: int, m: int):
     if m >= 0:
         q = horner(taylor_coeffs_at1(p, m), pt.u, pt.weight)
         return q if m == 0 else pt.sinh_pow(-m) * q
-    n = -m
-    s = pt.cached(_neg_order_sum, p, n)
-    return pt.exp(-n) * pt.weight(Fraction(1, math.factorial(n))) * s
+    return _neg_order_term(pt, p, -m, Fraction(1, math.factorial(-m)), 1)
 
 
+@in_float_range
 def legendre_p(p: int, m: int, z: float) -> float:
     """P_p^m(z) for integer degree p >= 0, any integer order m, finite z > 1."""
     return _legendre(LegendreArg.from_z(z), p, m)
@@ -272,6 +287,7 @@ def _degree_sums(pt, p: int, m: int, w, scale):
     return terms
 
 
+@in_float_range
 def legendre_deg_deriv(p: int, m: int, z: float) -> float:
     """Derivative of P_nu^m(z) with respect to the degree nu, at nu = p >= 0.
 
@@ -285,13 +301,13 @@ def legendre_deg_deriv(p: int, m: int, z: float) -> float:
         raise ValueError("legendre_deg_deriv handles m >= 0 only")
     pt = LegendreArg.from_z(z)
     if m >= p + 1:
-        # (-1)^{p+m+1} (p+m)! (m-p-1)! P_p^{-m}; the 1/m! of P_p^{-m} joins the
-        # weight before the cast, as from m ~ 100 the factorials overflow alone
+        # (-1)^{p+m+1} (p+m)! (m-p-1)! P_p^{-m}, with the 1/m! of P_p^{-m} in
+        # the weight, which _neg_order_term folds where its cast leaves the range
         f = math.factorial
         w = Fraction((-1) ** (p + m + 1) * f(p + m) * f(m - p - 1), f(m))
-        return pt.weight(w) * pt.exp(-m) * _neg_order_sum(pt, p, m)
-    out = math.log((z + 1.0) / 2.0) * _legendre(pt, p, m)
+        return _neg_order_term(pt, p, m, w, 1)
+    leg = _legendre(pt, p, m)
     # 2 psi(2p+1) - psi(p+1) - psi(p-m+1), exact
     dig = 2 * harmonic(2 * p) - harmonic(p) - harmonic(p - m)
-    out += float(dig) * _legendre(pt, p, m)
+    out = math.log((z + 1.0) / 2.0) * leg + float(dig) * leg
     return sum(_degree_sums(pt, p, m, Fraction(1), 1.0), out)

@@ -19,9 +19,9 @@ rounded once by the point.  The power term (eta - log 2) f_n, which both
 log routes add for n <= p, is written once here, as is f_n's weight w_n =
 eps_n (-p)_n (p-n)!/(p+n)! (_power_weight).  The band coefficient, f_n's
 exponent derivative, weights by w_n its digamma term and the two degree
-sums it shares with legendre_deg_deriv (legendre._degree_sums).  Tail
-terms n >= p+1 combine (n-p-1)!/n!, e^{-n eta} and the positive Gauss sum
-so that nothing overflows for large n eta.
+sums it shares with legendre_deg_deriv (legendre._degree_sums).  The tail
+(n >= p+1) and inverse-power coefficients are legendre._neg_order_term's
+exact weight times e^{-n eta} and the positive Gauss sum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .legendre import LegendreArg, _degree_sums, _legendre, _neg_order_sum
+from .legendre import LegendreArg, _degree_sums, _legendre, _neg_order_term
 from .scalars import eta_from_chi, harmonic, neumann, pochhammer
 from .tables import FourierCoeffTable, default_nmax
 
@@ -97,7 +97,7 @@ def power_series(p: int, chi: float) -> FourierCoeffTable:
 def _inverse_coefficient(pt, q: int, n: int):
     # eps_n (n+q-1)!/((q-1)! n!) e^{-n eta} S_{q-1,n}(z) / sinh^q(eta)
     w = neumann(n) * math.comb(n + q - 1, q - 1)
-    return w * pt.exp(-n) * pt.cached(_neg_order_sum, q - 1, n) / pt.sinh_pow(q)
+    return _neg_order_term(pt, q - 1, n, w, 1) / pt.sinh_pow(q)
 
 
 def inverse_power_series(
@@ -113,7 +113,7 @@ def _log_tail_coefficient(pt, p: int, n: int):
     if n < p + 1:
         raise ValueError("log_tail_coefficient needs n >= p+1")
     w = Fraction(2 * (-1) ** (p + 1) * math.factorial(p), math.prod(range(n - p, n + 1)))
-    return pt.weight(w) * pt.sinh_pow(p) * pt.exp(-n) * pt.cached(_neg_order_sum, p, n)
+    return _neg_order_term(pt, p, n, w, pt.sinh_pow(p))
 
 
 def log_tail_coefficient(p: int, n: int, eta: float) -> float:

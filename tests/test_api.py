@@ -128,6 +128,23 @@ def test_degree_sums_and_power_weight_are_written_once():
     assert spellers == {"_power_weight"}
 
 
+def test_negative_order_closed_form_is_written_once():
+    # P_p^{-n}'s product, and the fold of its weight, live in _neg_order_term;
+    # the Gauss sum is reached through it or through the public neg_order_sum
+    src = ROOT / "src" / "polyfourier"
+    users = {module.stem: set(_names_used(module, {"_neg_order_sum"}))
+             for module in src.glob("*.py")}
+    assert {m: u for m, u in users.items() if u} == {
+        "legendre": {"_neg_order_term", "neg_order_sum"}}
+    assert not [m for m in _imported_modules(src / "series_limit.py")
+                if m.endswith("_neg_order_sum")]
+    term_users = {module.stem: set(_names_used(module, {"_neg_order_term"}))
+                  for module in src.glob("*.py")}
+    assert {m: u for m, u in term_users.items() if u} == {
+        "legendre": {"_neg_order_term", "_legendre", "legendre_deg_deriv"},
+        "series_limit": {"_inverse_coefficient", "_log_tail_coefficient"}}
+
+
 def test_readme_examples_run():
     result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
     assert result.attempted >= 10 and result.failed == 0

@@ -19,12 +19,16 @@ from scipy.integrate import quad
 
 from polyfourier import ConvergenceError, eta_from_chi, legendre_deg_deriv, legendre_p
 from polyfourier.legendre import (
+    ExactLegendreArg,
     LegendreArg,
     _legendre,
+    _neg_order_sum,
     legendre_p_exact,
     neg_order_sum,
     taylor_coeffs_at1,
 )
+from polyfourier.scalars import neumann
+from polyfourier.series_limit import _inverse_coefficient, _log_tail_coefficient
 from polyfourier.validation import legendre_p_nu
 
 Z_GRID = (1.01, 1.5, 2.0, 5.0, 50.0)
@@ -169,6 +173,62 @@ def test_z_argument_relative_accuracy_against_mpmath():
     assert worst[0] <= 2e-14, worst
 
 
+def test_negative_order_past_the_factorial_underflow_against_mpmath():
+    # 1/171! is subnormal and 1/180! casts to 0, while P_10^{-n}(1e30) is
+    # 1.8e-23 and 6.8e-44: the weight is cast scaled by a power of two
+    with mpmath.workdps(50):
+        for m in (-171, -180):
+            err = float(abs(legendre_p(10, m, 1e30) / _mpmath_legendre(10, m, 1e30) - 1))
+            assert err <= 1e-14, (m, err)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (legendre_p, (3, -2, 1e200)),  # the Gauss sum overflows: was inf
+        (legendre_p, (10, -5, 1e40)),  # was inf
+        (legendre_p, (3, -400, 1e200)),  # was nan (0 * inf); mpmath gives 3.6e-276
+        (legendre_deg_deriv, (3, 10, 1e200)),  # was inf
+        (neg_order_sum, (3, 400, 1e200)),  # was inf
+        (legendre_deg_deriv, (10, 300, 1.5)),  # -2.3e507; was OverflowError
+    ],
+)
+def test_z_argument_functions_refuse_values_outside_the_float_range(fn, args):
+    with pytest.raises(ValueError, match=fn.__name__):
+        fn(*args)
+
+
+def _inline_neg_order_products(pt, p, n):
+    """The four negative-order products as each caller spelled them before
+    _neg_order_term: P_p^{-n}, the degree derivative past m = p (at m = n),
+    the log tail and the inverse power (at q = p + 1)."""
+    f = math.factorial
+    s = _neg_order_sum(pt, p, n)
+    w_deriv = Fraction((-1) ** (p + n + 1) * f(p + n) * f(n - p - 1), f(n))
+    w_tail = Fraction(2 * (-1) ** (p + 1) * f(p), math.prod(range(n - p, n + 1)))
+    w_inv = neumann(n) * math.comb(n + p, p)
+    return (pt.exp(-n) * pt.weight(Fraction(1, f(n))) * s,
+            pt.weight(w_deriv) * pt.exp(-n) * s,
+            pt.weight(w_tail) * pt.sinh_pow(p) * pt.exp(-n) * s,
+            w_inv * pt.exp(-n) * s / pt.sinh_pow(p + 1))
+
+
+def test_one_negative_order_closed_form_keeps_every_bit():
+    # == at both points; the degree derivative has no entry that takes a
+    # point, so it is compared at the float point alone
+    for eta in (0.2, 1.3, 6.0):
+        z = math.cosh(eta) / math.sinh(eta)
+        for pt in (LegendreArg.from_z(z), ExactLegendreArg(Fraction(math.exp(eta)))):
+            for p in (0, 3, 10):
+                for n in (p + 1, p + 7, 60):
+                    leg, deriv, tail, inv = _inline_neg_order_products(pt, p, n)
+                    assert _legendre(pt, p, -n) == leg
+                    assert _log_tail_coefficient(pt, p, n) == tail
+                    assert _inverse_coefficient(pt, p + 1, n) == inv
+                    if isinstance(pt, LegendreArg):
+                        assert legendre_deg_deriv(p, n, z) == deriv
+
+
 def _laplace_oracle(nu: float, m: int, z: float) -> float:
     # P_nu^{-m}(z) = Gamma(nu-m+1)/Gamma(nu+1) (1/pi)
     #                int_0^pi (z + sqrt(z^2-1) cos t)^nu cos(m t) dt
@@ -241,8 +301,11 @@ def test_degree_derivative_above_degree_closed_form():
     # P_p^{-m}.  From m ~ 100 the factorials alone overflow a float while the
     # value does not (-1.13e121 at (2, 100, 1.5)), so the weight must be
     # folded with the 1/m! of P_p^{-m} before it is cast.
+    # From m = 172 at p = 10 the folded weight overflows as well, and the
+    # closed form casts it scaled by a power of two.
     points = [(1, 2, 2.0), (2, 4, 1.5), (0, 3, 2.5),
-              (2, 90, 1.5), (2, 100, 1.5), (2, 150, 1.5), (3, 165, 3.0), (0, 120, 10.0)]
+              (2, 90, 1.5), (2, 100, 1.5), (2, 150, 1.5), (3, 165, 3.0), (0, 120, 10.0),
+              (10, 190, 1.5), (10, 200, 1.5)]
     with mpmath.workdps(50):
         for (p, m, z) in points:
             want = ((-1) ** (p + m + 1) * math.factorial(p + m) * math.factorial(m - p - 1)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import polyfourier.legendre as legendre
 import polyfourier.series_algebraic as series_algebraic
 import polyfourier.series_limit as series_limit
 import polyfourier.validation as validation
@@ -249,7 +250,7 @@ def _off_by_tiny(fn):
         (validation, "_log_band_coefficient", lambda eta: verify_identity_mid(3, 1, eta)),
         # these are memoized on the point, keyed by the function object
         (series_algebraic, "_r_frak", lambda eta: verify_identity_tail(3, 6, eta)),
-        (series_limit, "_neg_order_sum", lambda eta: verify_identity_tail(3, 6, eta)),
+        (legendre, "_neg_order_sum", lambda eta: verify_identity_tail(3, 6, eta)),
         (series_limit, "_legendre", lambda eta: verify_identity_mid(3, 1, eta)),
     ],
     ids=["band_coefficient", "r_frak", "neg_order_sum", "legendre"],
