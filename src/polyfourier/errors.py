@@ -9,7 +9,8 @@ class ConvergenceError(RuntimeError):
 
 
 def in_float_range(fn):
-    """fn, with an overflow or a result that is not finite raised as ValueError."""
+    """fn, with an overflow, a result that is not finite, or a nonzero result
+    below 2^-1022 (a subnormal double holds too few bits) raised as ValueError."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
@@ -19,6 +20,8 @@ def in_float_range(fn):
             value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"{fn.__name__} overflows double precision")
+        if value and abs(value) < 2.0**-1022:
+            raise ValueError(f"{fn.__name__} underflows double precision")
         return value
 
     return checked

@@ -24,21 +24,22 @@ is one float point, z = coth(eta), that holds eta and u = z - 1: the factors
 (z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} are csch eta and e^{-eta}, and the
 positive-term sums run in u.  from_eta sets u = 2/expm1(2 eta); from_z, behind
 the z-argument functions, keeps u = z - 1 exact and sets eta = log1p(2/u)/2.
-ExactLegendreArg works in exact rationals at t = e^eta, where coth, cosh,
-sinh and every e^{k eta} are rational; the identity suite in validation
-evaluates the production closed forms there.
+SymbolicLegendreArg is the exact point as a function of t = e^eta, whose
+values are RationalT, P(t) (t^2-1)^e / d with P an integer Laurent
+polynomial; it holds no eta, so the identities validation proves there hold
+for every eta.
 
-A closed form that the identity suite evaluates more than once at a point
+A closed form that the identity suite evaluates more than once
 (_legendre, _neg_order_sum, and _r_frak in series_algebraic) is called
-through pt.cached(fn, *args).  On LegendreArg that is a plain call; on
-ExactLegendreArg it memoizes the exact value on the point, keyed by the
-function object and its arguments.
+through pt.cached(fn, *args).  On LegendreArg that is a plain call; on the
+symbolic point it memoizes the value for the process, keyed by the function
+object and its arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,8 +48,9 @@ from .logpoly import horner, logpoly_eval, logpoly_recurrence
 from .scalars import harmonic
 
 __all__ = [
-    "ExactLegendreArg",
     "LegendreArg",
+    "RationalT",
+    "SYMBOLIC",
     "legendre_p",
     "legendre_deg_deriv",
     "legendre_p_exact",
@@ -116,79 +118,143 @@ class LegendreArg:
         return math.exp(k * self.eta + math.log(val))
 
 
-@dataclass(frozen=True)
-class ExactLegendreArg:
-    """Exact evaluation point z = coth(eta), parametrized by the rational
-    t = e^eta > 1: coth, sinh, cosh and every e^{k eta} are rational in t, so
-    each closed form evaluated here is an exact Fraction.
+def _poly_mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    The point memoizes what it computes: e^{k eta}, sinh^k(eta),
-    e^{k eta} R_p^k(cosh eta), and every closed form called through
-    cached(fn, *args), keyed by the function object and its arguments.  Each
-    value is an exact Fraction that depends only on t and that key, so a
-    memoized value is the value a fresh evaluation would return; and a
-    different function (a patched or a new closed form) is a different key,
-    so it is evaluated, never served another function's value.  The memo is
-    excluded from equality and hashing, which use t alone.  from_eta returns
-    a point shared by its callers from a cache of the two most recent eta,
-    which bounds the memory the memos hold.
-    """
 
-    t: Fraction
-    u: Fraction = field(init=False, repr=False, compare=False)
-    x: Fraction = field(init=False, repr=False, compare=False)
-    sinh: Fraction = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+class RationalT:
+    """P(t) (t^2-1)^e / d in Q(t), P = t^lo (c_0 + c_1 t + ...) with integer
+    c_i, integer e and d > 0, kept canonical (c_0 and the top c_i nonzero, P
+    prime to t^2-1, gcd(c, d) = 1, zero as c = ()): == compares the fields,
+    and a constant hashes as the equal Fraction.  It divides by a monomial
+    c t^j (t^2-1)^k / d only, an int or a Fraction included."""
 
-    def __post_init__(self):
-        t = self.t
-        if not t > 1:
-            raise ValueError("ExactLegendreArg needs t > 1")
-        object.__setattr__(self, "u", 2 / (t * t - 1))
-        object.__setattr__(self, "x", (t * t + 1) / (2 * t))
-        object.__setattr__(self, "sinh", (t * t - 1) / (2 * t))
+    __slots__ = ("lo", "c", "e", "d")
 
-    @classmethod
-    @lru_cache(maxsize=2)
-    def from_eta(cls, eta: float) -> "ExactLegendreArg":
-        """The shared point at t = Fraction(e^eta); the identity suite walks
-        eta in its outer loop, so two slots keep every point it revisits."""
-        return cls(Fraction(math.exp(eta)))
+    def __init__(self, lo: int, c, e: int = 0, d: int = 1):
+        nz = [i for i, x in enumerate(c) if x]
+        c, lo, e, d = (c[nz[0]:nz[-1] + 1], lo + nz[0], e, d) if nz else ((), 0, 0, 1)
+        while c and not sum(c[::2]) and not sum(c[1::2]):  # P(1) = P(-1) = 0
+            s = list(c[2:])  # P / (t^2-1), from the top: s_j = c_{j+2} + s_{j+2}
+            for j in range(len(s) - 3, -1, -1):
+                s[j] += s[j + 2]
+            c, e = s, e + 1
+        g = math.gcd(d, *c)
+        c = tuple(x // g for x in c) if g > 1 else tuple(c)
+        self.lo, self.c, self.e, self.d = lo, c, e, d // g
 
     @staticmethod
-    def weight(c):
-        return c
+    def of(x) -> "RationalT":
+        """x as a RationalT, for a RationalT, an int or a Fraction."""
+        if isinstance(x, RationalT):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return RationalT(0, (x.numerator,), 0, x.denominator)
+        raise TypeError(f"RationalT does not mix with {type(x).__name__}")
 
+    def __eq__(self, other):
+        other = RationalT.of(other) if isinstance(other, (int, Fraction)) else other
+        return isinstance(other, RationalT) and (self.lo, self.c, self.e, self.d) == (
+            other.lo, other.c, other.e, other.d)
+
+    def __hash__(self):
+        if self.lo == self.e == 0 and len(self.c) < 2:
+            return hash(Fraction(sum(self.c), self.d))
+        return hash((self.lo, self.c, self.e, self.d))
+
+    def __add__(self, other):
+        other = RationalT.of(other)
+        if not self.c or not other.c:
+            return other if not self.c else self
+        e, lo, d = min(self.e, other.e), min(self.lo, other.lo), math.lcm(self.d, other.d)
+        out = [0] * (max(self.lo + len(self.c) + 2 * self.e, other.lo + len(other.c) + 2 * other.e)
+                     - lo - 2 * e)
+        for x in (self, other):
+            c, scale = x.c, d // x.d
+            for _ in range(x.e - e):  # times t^2 - 1
+                c = _poly_mul(c, (-1, 0, 1))
+            for i, ci in enumerate(c, x.lo - lo):
+                out[i] += ci * scale
+        return RationalT(lo, out, e, d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            n = other.numerator
+            return RationalT(self.lo, [x * n for x in self.c], self.e, self.d * other.denominator)
+        other = RationalT.of(other)
+        return RationalT(self.lo + other.lo, _poly_mul(self.c, other.c), self.e + other.e,
+                         self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = RationalT.of(other)
+        if len(other.c) != 1:
+            raise ValueError("RationalT divides only by a nonzero monomial c t^j (t^2-1)^k / d")
+        (c,) = other.c
+        s = other.d if c > 0 else -other.d
+        return RationalT(self.lo - other.lo, [x * s for x in self.c], self.e - other.e,
+                         self.d * abs(c))
+
+    def at(self, t) -> tuple[int, int]:
+        """(num, den), den > 0, with num/den the value at a rational t = a/b > 1,
+        by Horner's rule in integers; num / den is then correctly rounded."""
+        a, b = t.numerator, t.denominator
+        num, den, bk = 0, self.d, 1
+        for x in reversed(self.c):  # num = sum_i c_i a^i b^(len(c)-1-i)
+            num, bk = num * a + x * bk, bk * b
+        for base, k in ((a, self.lo), (b, 1 - self.lo - len(self.c) - 2 * self.e),
+                        (a * a - b * b, self.e)):
+            num, den = (num * base**k, den) if k >= 0 else (num, den * base**-k)
+        return num, den
+
+
+class SymbolicLegendreArg:
+    """z = coth(eta) as a function of t = e^eta: u = 2/(t^2-1), x = cosh eta =
+    (t^2+1)/(2t), e^{k eta} = t^k, sinh^k(eta) = (t^2-1)^k/(2t)^k and every
+    closed form evaluated here are RationalT.  cached(fn, *args) memoizes on
+    the point, keyed by function object and arguments; SYMBOLIC, the one
+    point, serves every caller, so each R_p^k is evaluated once per process."""
+
+    u = RationalT(0, (2,), -1)
+    x = RationalT(-1, (1, 0, 1), 0, 2)
+
+    def __init__(self):
+        self._memo = {}
+
+    weight = staticmethod(lambda c: c)  # exact weights stay exact
     total = staticmethod(sum)
 
     def cached(self, fn, *args):
-        """fn(self, *args), evaluated once per point."""
-        key = (fn, args)
-        memo = self._memo
-        if key not in memo:
-            memo[key] = fn(self, *args)
-        return memo[key]
+        if (fn, args) not in self._memo:
+            self._memo[fn, args] = fn(self, *args)
+        return self._memo[fn, args]
 
-    def exp(self, k: int) -> Fraction:
-        return self.cached(_exact_exp, k)
+    @staticmethod
+    def exp(k: int) -> RationalT:
+        return RationalT(k, (1,))
 
-    def sinh_pow(self, k: int) -> Fraction:
-        return self.cached(_exact_sinh_pow, k)
+    @staticmethod
+    def sinh_pow(k: int) -> RationalT:
+        return RationalT(-k, (1,), k, 2**k) if k >= 0 else RationalT(-k, (2**-k,), k)
 
-    def scaled_logpoly(self, p: int, k: int) -> Fraction:
-        return self.cached(_exact_scaled_logpoly, p, k)
+    def scaled_logpoly(self, p: int, k: int) -> RationalT:
+        return self.cached(SymbolicLegendreArg._logpoly, p, k)
 
-
-def _exact_exp(pt: ExactLegendreArg, k: int) -> Fraction:
-    return pt.t**k
+    def _logpoly(self, p: int, k: int) -> RationalT:
+        return self.exp(k) * logpoly_recurrence(p, k).eval_exact(self.x)
 
 
-def _exact_sinh_pow(pt: ExactLegendreArg, k: int) -> Fraction:
-    return pt.sinh**k
-
-
-def _exact_scaled_logpoly(pt: ExactLegendreArg, p: int, k: int) -> Fraction:
-    return pt.exp(k) * logpoly_recurrence(p, k).eval_exact(pt.x)
+SYMBOLIC = SymbolicLegendreArg()
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +298,7 @@ def _neg_order_term(pt, p: int, n: int, w, scale):
         c = pt.weight(w)
     except OverflowError:
         c = 0.0
-    if isinstance(c, float) and abs(c) < 2.0**-1022:  # the exact point's c is exact
+    if isinstance(c, float) and abs(c) < 2.0**-1022:  # the symbolic point's c is exact
         e = abs(w.numerator).bit_length() - w.denominator.bit_length()
         return math.ldexp(_neg_order_term(pt, p, n, w / Fraction(2) ** e, scale), e)
     return c * scale * pt.exp(-n) * pt.cached(_neg_order_sum, p, n)
@@ -257,8 +323,10 @@ def legendre_p(p: int, m: int, z: float) -> float:
 
 
 def legendre_p_exact(p: int, m: int, t: Fraction) -> Fraction:
-    """P_p^m(coth eta) in exact rational arithmetic, parametrized by t = e^eta."""
-    return _legendre(ExactLegendreArg(t), p, m)
+    """P_p^m(coth eta) as a Fraction at a rational t = e^eta > 1: the symbolic _legendre at t."""
+    if not t > 1:
+        raise ValueError("legendre_p_exact needs t > 1")
+    return Fraction(*RationalT.of(SYMBOLIC.cached(_legendre, p, m)).at(t))
 
 
 def _degree_sums(pt, p: int, m: int, w, scale):

@@ -10,11 +10,11 @@ and reindexing the resulting double sum.  The per-coefficient building block is
 
 an alternating sum, whose adjacent terms can cancel to many digits at small
 eta, summed by math.fsum (correctly rounded) at the float point and exactly
-at the exact point.  p_frak assembles the branch structure in n (constant
+at the symbolic point.  p_frak assembles the branch structure in n (constant
 band, middle band, n = p edge, exponential tail) and q_frak adds the power
 term carrying the (eta - log 2) weight.  r_frak, re_frak and p_frak are
 written once over an evaluation point (see legendre), so the identity suite
-evaluates them exactly at t = e^eta; series_limit._table builds the table.
+proves them in t = e^eta; series_limit._table builds the table.
 """
 
 from __future__ import annotations

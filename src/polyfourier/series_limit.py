@@ -13,8 +13,8 @@ Every Legendre value is taken at coth eta.  Every route's table, here and in
 series_algebraic, is built by one pipeline, _table: eta and N, one
 evaluation point from eta (see legendre), then coefficient(pt, param, n).
 Every closed form here (power, band, tail and inverse-power coefficient)
-takes that point, so the identity suite evaluates this same code at the
-exact point.  Every rational weight is accumulated as a Fraction and
+takes that point, so the identity suite proves this same code at the
+symbolic point.  Every rational weight is accumulated as a Fraction and
 rounded once by the point.  The power term (eta - log 2) f_n, which both
 log routes add for n <= p, is written once here, as is f_n's weight w_n =
 eps_n (-p)_n (p-n)!/(p+n)! (_power_weight).  The band coefficient, f_n's

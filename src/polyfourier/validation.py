@@ -9,22 +9,19 @@ The reindexing identities equate the algebraic route's alternating sums of
 e^{k eta} R_p^k(cosh eta) (p_frak, re_frak) with the limit route's Legendre
 closed forms (band and tail coefficients, and the inverse-power coefficient
 at q = p+1).  Both sides are rational functions of t = e^eta, so the suite
-evaluates the production closed forms themselves at the exact point
-t = Fraction(e^eta) (ExactLegendreArg): a true identity yields error exactly
-0.  Double precision could not do this -- at p = 10, eta = 5, n = 50 the
-left side cancels through ~13 digits.  So the exact checks take no
-tolerance: their reports carry tol = floor = 0 and pass on equality alone.
+proves them in t: it evaluates the production closed forms themselves at
+the symbolic point (legendre.SYMBOLIC), where each side is a canonical
+RationalT and a true identity is an equality of the two, for every eta > 0.
+Double precision could not do this -- at p = 10, eta = 5, n = 50 the left
+side cancels through ~13 digits.  So the exact checks take no tolerance:
+their reports carry tol = floor = 0 and pass on equality alone.
 
-Each check takes its point from ExactLegendreArg.from_eta, which shares one
-point per eta from a cache of the two most recent eta (the suite walks eta
-in its outer loop).  The point memoizes e^{k eta}, sinh^k(eta),
-e^{k eta} R_p^k(cosh eta) and the closed forms that several checks share
-(r_frak, the Gauss sum, P_p^m), keyed by function object and arguments, so
-every exact value is computed once per eta.  A memoized value is an exact
-Fraction of t and its key, equal to a fresh evaluation, so memoizing cannot
-change a result; a patched or wrong closed form is a different function
-object and is evaluated afresh.  The identity sides compared here
-(p_frak, the band and tail coefficients) are not memoized themselves.
+run_validation_suite proves each (family, p, n) once per call and builds
+every eta's row from it, evaluated at t = Fraction(e^eta) by Horner's rule in
+integers and one int/int division, as float() of the exact Fraction rounds;
+each verify_* call proves afresh.  The symbolic point memoizes the closed
+forms several proofs share (r_frak, the Gauss sum, P_p^m, e^{k eta} R_p^k)
+by function object and arguments, so a patched closed form runs afresh.
 
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
@@ -44,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .greens import Geometry, SolutionParams, axisym_component, kernel_table, li_expansion
-from .legendre import ExactLegendreArg
+from .legendre import SYMBOLIC
 from .logpoly import LogPolynomial
 from .scalars import neumann
 from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
@@ -248,9 +245,44 @@ def quad_fourier_coeff(
 # exact-rational identity checks (t = e^eta)
 
 
-def _band_report(identity, p, n, eta) -> ValidationReport:
-    pt = ExactLegendreArg.from_eta(eta)
-    return _report(identity, p, n, eta, _p_frak(pt, n, p), _log_band_coefficient(pt, p, n))
+def _exact_t(eta: float, need: str) -> Fraction:
+    """t = Fraction(e^eta) for an eta that is finite and > 0, with e^eta in
+    the float range and cosh(eta) > 1, as the float routes need too."""
+    try:
+        if 0.0 < eta < math.inf and math.cosh(eta) > 1.0:
+            return Fraction(math.exp(eta))
+    except OverflowError:
+        pass
+    raise ValueError(f"{need} finite and > 0, with e^eta in the float range and "
+                     f"cosh(eta) > 1; got {eta!r}")
+
+
+def _prove(identity, p, n):
+    """(lhs, rhs, ok) of one identity on the symbolic point; ok is the tail's
+    inverse-power rewrite (see verify_identity_tail), and True elsewhere."""
+    pt = SYMBOLIC
+    grow = math.prod(range(n - p, n + p + 1))
+    if identity == "re_closed_form":
+        return _re_frak(pt, n, p), grow * pt.exp(n) * _log_tail_coefficient(pt, p, n), True
+    lhs = _p_frak(pt, n, p)
+    if identity != "tail":
+        return lhs, _log_band_coefficient(pt, p, n), True
+    q = p + 1
+    rewrite = Fraction((-1) ** q * neumann(n) * grow, 2 * math.factorial(q - 1) ** 2) * (
+        lhs / pt.sinh_pow(2 * q - 1)
+    )
+    return lhs, _log_tail_coefficient(pt, p, n), rewrite == _inverse_coefficient(pt, q, n)
+
+
+def _exact_report(identity, p, n, eta, proof=None) -> ValidationReport:
+    """The row at eta of a proof (default: a fresh one); equal sides are
+    evaluated once at t = Fraction(e^eta), unequal sides fail."""
+    t = _exact_t(eta, "an exact identity row needs eta")
+    lhs, rhs, ok = proof or _prove(identity, p, n)
+    if lhs == rhs:
+        num, den = lhs.at(t)
+        return _report(identity, p, n, eta, num / den, num / den, extra_ok=ok)
+    return _report(identity, p, n, eta, Fraction(*lhs.at(t)), Fraction(*rhs.at(t)), extra_ok=False)
 
 
 def verify_identity_n0(p: int, eta: float) -> ValidationReport:
@@ -258,7 +290,7 @@ def verify_identity_n0(p: int, eta: float) -> ValidationReport:
     route's band coefficient (Legendre/digamma closed form)."""
     if p < 1:
         raise ValueError("verify_identity_n0 needs p >= 1")
-    return _band_report("n0", p, 0, eta)
+    return _exact_report("n0", p, 0, eta)
 
 
 def verify_identity_mid(p: int, n: int, eta: float) -> ValidationReport:
@@ -266,14 +298,14 @@ def verify_identity_mid(p: int, n: int, eta: float) -> ValidationReport:
     coefficient."""
     if not (p >= 2 and 1 <= n <= p - 1):
         raise ValueError("verify_identity_mid needs p >= 2 and 1 <= n <= p-1")
-    return _band_report("mid", p, n, eta)
+    return _exact_report("mid", p, n, eta)
 
 
 def verify_identity_np(p: int, eta: float) -> ValidationReport:
     """Edge identity at n = p: p_frak(p) against the band coefficient."""
     if p < 1:
         raise ValueError("verify_identity_np needs p >= 1")
-    return _band_report("np", p, p, eta)
+    return _exact_report("np", p, p, eta)
 
 
 def verify_identity_tail(p: int, n: int, eta: float) -> ValidationReport:
@@ -286,16 +318,7 @@ def verify_identity_tail(p: int, n: int, eta: float) -> ValidationReport:
     """
     if n < p + 1:
         raise ValueError("verify_identity_tail needs n >= p+1")
-    pt = ExactLegendreArg.from_eta(eta)
-    lhs = _p_frak(pt, n, p)
-    rhs = _log_tail_coefficient(pt, p, n)
-    q = p + 1
-    grow = math.prod(range(n - p, n + p + 1))
-    rewrite = Fraction((-1) ** q * neumann(n) * grow, 2 * math.factorial(q - 1) ** 2) * (
-        lhs / pt.sinh_pow(2 * q - 1)
-    )
-    ok = rewrite == _inverse_coefficient(pt, q, n)
-    return _report("tail", p, n, eta, lhs, rhs, extra_ok=ok)
+    return _exact_report("tail", p, n, eta)
 
 
 def verify_re_closed_form(p: int, n: int, eta: float) -> ValidationReport:
@@ -304,11 +327,7 @@ def verify_re_closed_form(p: int, n: int, eta: float) -> ValidationReport:
     P_p^{-n}(coth eta)."""
     if n < p + 1:
         raise ValueError("verify_re_closed_form needs n >= p+1")
-    pt = ExactLegendreArg.from_eta(eta)
-    lhs = _re_frak(pt, n, p)
-    grow = math.prod(range(n - p, n + p + 1))
-    rhs = grow * pt.exp(n) * _log_tail_coefficient(pt, p, n)
-    return _report("re_closed_form", p, n, eta, lhs, rhs)
+    return _exact_report("re_closed_form", p, n, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +403,19 @@ def run_validation_suite(
 
     tol and floor govern the float comparisons only: tol the cross-route
     rows, floor those and the oracle and dual-form rows.  The exact identity
-    rows pass on equality alone."""
+    rows pass on equality alone.  Each eta needs e^eta finite and cosh(eta) > 1."""
     if pmax < 0:
         raise ValueError("run_validation_suite needs pmax >= 0")
     if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
         raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
-    reports: list[ValidationReport] = []
     for eta in etas:
-        for p in range(1, pmax + 1):
-            reports.append(verify_identity_n0(p, eta))
-            reports.append(verify_identity_np(p, eta))
-            for n in range(1, p):
-                reports.append(verify_identity_mid(p, n, eta))
-        for p in range(0, pmax + 1):
-            for n in range(p + 1, nmax + 1):
-                reports.append(verify_identity_tail(p, n, eta))
-                reports.append(verify_re_closed_form(p, n, eta))
+        _exact_t(eta, "run_validation_suite needs etas")
+    keys = [key for p in range(1, pmax + 1)
+            for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
+    keys += [(family, p, n) for p in range(pmax + 1) for n in range(p + 1, nmax + 1)
+             for family in ("tail", "re_closed_form")]
+    proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
+    reports = [_exact_report(*key, eta, proof) for eta in etas for key, proof in zip(keys, proofs)]
     for eta in etas:
         chi = math.cosh(eta)
         for p in range(0, pmax + 1):

@@ -281,6 +281,16 @@ def test_validate_refuses_a_bad_tolerance(capsys, flag, value):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf", "800", "1e-9"])
+def test_validate_refuses_a_bad_eta_by_name(capsys, eta):
+    # not > 0, not finite, e^eta overflows, or cosh(eta) rounds to 1; the
+    # bad eta follows a good one, and still nothing reaches stdout
+    code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", f"0.5,{eta}",
+                             "--nmax", "4", "--no-oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("error: run_validation_suite needs etas"), err
+
+
 def test_validate_band_free_grid_passes(capsys):
     # with no banded identities in range the remaining checks still pass
     code, out, _ = run_cli(capsys, "validate", "--pmax", "0", "--etas", "1.0",

@@ -318,6 +318,12 @@ def test_out_of_float_range_is_a_value_error():
         greens_eval(SolutionParams(2, 300), (1.5, 0.0), (0.0, 0.0))
 
 
+def test_subnormal_value_is_a_value_error():
+    # r^{2k-d} = 1e-320 is subnormal: refused by name, not returned as 2.5e-322
+    with pytest.raises(ValueError, match="greens_eval underflows double precision"):
+        greens_eval(SolutionParams(4, 1), (1e160, 0, 0, 0), (0, 0, 0, 0))
+
+
 def test_li_expansion_scale_overflow_is_a_value_error():
     # chi = 1.5 gives a finite log table, but (2RR')^10 ~ 1.1e309 does not fit
     g = Geometry.from_points((1.24e15, 0.0), (3.24e15, 0.0))

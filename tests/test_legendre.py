@@ -19,7 +19,7 @@ from scipy.integrate import quad
 
 from polyfourier import ConvergenceError, eta_from_chi, legendre_deg_deriv, legendre_p
 from polyfourier.legendre import (
-    ExactLegendreArg,
+    SYMBOLIC,
     LegendreArg,
     _legendre,
     _neg_order_sum,
@@ -198,6 +198,20 @@ def test_z_argument_functions_refuse_values_outside_the_float_range(fn, args):
         fn(*args)
 
 
+def test_subnormal_values_are_refused_and_zero_is_returned():
+    # 1e-323 would carry 2 significant bits of mpmath's 1.2935e-323
+    with pytest.raises(ValueError, match="legendre_p underflows double precision"):
+        legendre_p(4, -166, 3.0)
+    assert legendre_p(2, 3, 1.5) == 0.0  # order above degree: exactly zero
+    assert legendre_p(10, -180, 1e30) == pytest.approx(6.763504657480193e-44, rel=1e-14)
+
+
+def test_exact_legendre_needs_t_above_1():
+    for t in (Fraction(1), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="legendre_p_exact needs t > 1"):
+            legendre_p_exact(2, 1, t)
+
+
 def _inline_neg_order_products(pt, p, n):
     """The four negative-order products as each caller spelled them before
     _neg_order_term: P_p^{-n}, the degree derivative past m = p (at m = n),
@@ -214,19 +228,19 @@ def _inline_neg_order_products(pt, p, n):
 
 
 def test_one_negative_order_closed_form_keeps_every_bit():
-    # == at both points; the degree derivative has no entry that takes a
-    # point, so it is compared at the float point alone
-    for eta in (0.2, 1.3, 6.0):
-        z = math.cosh(eta) / math.sinh(eta)
-        for pt in (LegendreArg.from_z(z), ExactLegendreArg(Fraction(math.exp(eta)))):
-            for p in (0, 3, 10):
-                for n in (p + 1, p + 7, 60):
-                    leg, deriv, tail, inv = _inline_neg_order_products(pt, p, n)
-                    assert _legendre(pt, p, -n) == leg
-                    assert _log_tail_coefficient(pt, p, n) == tail
-                    assert _inverse_coefficient(pt, p + 1, n) == inv
-                    if isinstance(pt, LegendreArg):
-                        assert legendre_deg_deriv(p, n, z) == deriv
+    # == at three float points and at the symbolic point, where it holds for
+    # every eta; the degree derivative has no entry that takes a point, so
+    # it is compared at the float points alone
+    zs = [math.cosh(eta) / math.sinh(eta) for eta in (0.2, 1.3, 6.0)]
+    for z, pt in [(z, LegendreArg.from_z(z)) for z in zs] + [(None, SYMBOLIC)]:
+        for p in (0, 3, 10):
+            for n in (p + 1, p + 7, 60):
+                leg, deriv, tail, inv = _inline_neg_order_products(pt, p, n)
+                assert _legendre(pt, p, -n) == leg
+                assert _log_tail_coefficient(pt, p, n) == tail
+                assert _inverse_coefficient(pt, p + 1, n) == inv
+                if z is not None:
+                    assert legendre_deg_deriv(p, n, z) == deriv
 
 
 def _laplace_oracle(nu: float, m: int, z: float) -> float:

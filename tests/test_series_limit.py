@@ -21,7 +21,7 @@ from polyfourier import (
     power_series,
     quad_fourier_coeff,
 )
-from polyfourier.legendre import ExactLegendreArg, LegendreArg
+from polyfourier.legendre import SYMBOLIC, LegendreArg
 from polyfourier.series_limit import (
     _log_band_coefficient,
     _log_tail_coefficient,
@@ -72,14 +72,13 @@ def test_power_coefficient_matches_series_entry():
 
 
 def test_power_coefficients_sum_exactly_to_the_kernel_at_0_and_pi():
-    # sum_n f_n cos(n psi) = (x - cos psi)^p at psi = 0 and pi, evaluated by
-    # the power closed form at the exact point, where x = cosh eta is rational
-    for eta in (0.2, 0.5, 1.0, 2.0, 5.0):
-        pt = ExactLegendreArg.from_eta(eta)
-        for p in range(13):
-            f = [_power_coefficient(pt, p, n) for n in range(p + 1)]
-            assert sum(f) == (pt.x - 1) ** p
-            assert sum((-1) ** n * c for n, c in enumerate(f)) == (pt.x + 1) ** p
+    # sum_n f_n cos(n psi) = (x - cos psi)^p at psi = 0 and pi, x = cosh eta:
+    # the power closed form at the symbolic point, an identity in t = e^eta
+    pt = SYMBOLIC
+    for p in range(13):
+        f = [_power_coefficient(pt, p, n) for n in range(p + 1)]
+        assert sum(f) == math.prod([pt.x + -1] * p)
+        assert sum((-1) ** n * c for n, c in enumerate(f)) == math.prod([pt.x + 1] * p)
 
 
 def test_power_series_reconstructs_kernel():
@@ -201,14 +200,18 @@ def test_log_tail_ratio_approaches_geometric_decay():
 
 
 def test_band_and_tail_match_their_exact_evaluation():
-    # relative error of the float entries against the same closed forms
-    # evaluated exactly at t = e^eta, with no absolute floor to hide behind
-    for eta in (0.2, 0.5, 1.0, 2.0, 5.0):
-        fpt, xpt = LegendreArg.from_eta(eta), ExactLegendreArg.from_eta(eta)
-        for p in range(11):
-            for n in range(51):
-                coeff = _log_band_coefficient if n <= p else _log_tail_coefficient
-                want = coeff(xpt, p, n)
+    # relative error of the float entries against the same closed forms at
+    # the symbolic point, evaluated exactly at t = e^eta, with no absolute
+    # floor to hide behind
+    etas = (0.2, 0.5, 1.0, 2.0, 5.0)
+    fpts = [LegendreArg.from_eta(eta) for eta in etas]
+    ts = [Fraction(math.exp(eta)) for eta in etas]
+    for p in range(11):
+        for n in range(51):
+            coeff = _log_band_coefficient if n <= p else _log_tail_coefficient
+            exact = coeff(SYMBOLIC, p, n)
+            for eta, fpt, t in zip(etas, fpts, ts):
+                want = Fraction(*exact.at(t))
                 err = abs(Fraction(coeff(fpt, p, n)) - want)
                 assert err <= Fraction(1e-11) * abs(want), (p, n, eta, float(err / want))
 

@@ -5,9 +5,11 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import polyfourier.legendre as legendre
 import polyfourier.series_algebraic as series_algebraic
@@ -21,8 +23,14 @@ from polyfourier import (
     quad_fourier_coeff,
     run_validation_suite,
 )
-from polyfourier.legendre import ExactLegendreArg
-from polyfourier.logpoly import LogPolynomial
+from polyfourier.legendre import SYMBOLIC, LegendreArg, RationalT, _legendre
+from polyfourier.logpoly import LogPolynomial, logpoly_recurrence
+from polyfourier.series_algebraic import _p_frak, _re_frak
+from polyfourier.series_limit import (
+    _inverse_coefficient,
+    _log_band_coefficient,
+    _log_tail_coefficient,
+)
 from polyfourier.validation import (
     compare_log_routes,
     kernel_scale,
@@ -185,15 +193,15 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
 
 
-# -- the exact point's memo ---------------------------------------------------
+# -- the symbolic point and its memo --------------------------------------------
 
 
 @pytest.fixture
 def cold_points():
-    """Empty the shared exact-point cache before and after the test."""
-    ExactLegendreArg.from_eta.cache_clear()
+    """Empty the symbolic point's memo before and after the test."""
+    SYMBOLIC._memo.clear()
     yield
-    ExactLegendreArg.from_eta.cache_clear()
+    SYMBOLIC._memo.clear()
 
 
 def _count_eval_exact(monkeypatch):
@@ -212,23 +220,21 @@ SMALL_SUITE = dict(pmax=3, etas=(0.5, 1.0), nmax=8, include_oracle=False)
 
 
 def test_suite_evaluates_each_logpoly_value_once(cold_points, monkeypatch):
+    # one eval_exact per R_p^k, at the symbolic x, whatever the number of eta
     calls = _count_eval_exact(monkeypatch)
     run_validation_suite(**SMALL_SUITE)
-    want = {
-        (p, k, ExactLegendreArg.from_eta(eta).x)
-        for eta in SMALL_SUITE["etas"]
-        for p in range(SMALL_SUITE["pmax"] + 1)
-        for k in range(-p, p + 1)
-    }
+    want = {(p, k, SYMBOLIC.x) for p in range(SMALL_SUITE["pmax"] + 1) for k in range(-p, p + 1)}
     assert len(calls) == len(want) == len(set(calls))
     assert set(calls) == want
+    run_validation_suite(**dict(SMALL_SUITE, etas=(0.3, 0.7, 2.0, 3.0)))
+    assert len(calls) == len(want)
 
 
 def test_suite_reports_match_on_cold_and_warm_points(cold_points, monkeypatch):
     cold = run_validation_suite(**SMALL_SUITE)
     calls = _count_eval_exact(monkeypatch)
     warm = run_validation_suite(**SMALL_SUITE)
-    assert not calls  # the second run was served from the shared points
+    assert not calls  # the second run was served from the symbolic point's memo
     assert [dataclasses.astuple(r) for r in warm] == [dataclasses.astuple(r) for r in cold]
     assert all(r.passed for r in cold)
 
@@ -252,12 +258,14 @@ def _off_by_tiny(fn):
         (series_algebraic, "_r_frak", lambda eta: verify_identity_tail(3, 6, eta)),
         (legendre, "_neg_order_sum", lambda eta: verify_identity_tail(3, 6, eta)),
         (series_limit, "_legendre", lambda eta: verify_identity_mid(3, 1, eta)),
+        # a plain exact weight, read by the band coefficient on every proof
+        (series_limit, "_power_weight", lambda eta: verify_identity_mid(3, 1, eta)),
     ],
-    ids=["band_coefficient", "r_frak", "neg_order_sum", "legendre"],
+    ids=["band_coefficient", "r_frak", "neg_order_sum", "legendre", "power_weight"],
 )
 def test_memo_cannot_hide_a_wrong_closed_form(cold_points, monkeypatch, module, name, check):
     eta = 0.5
-    assert check(eta).passed  # the real closed forms are now memoized at eta
+    assert check(eta).passed  # the real closed forms are now memoized
     monkeypatch.setattr(module, name, _off_by_tiny(getattr(module, name)))
     report = check(eta)
     assert not report.passed
@@ -274,3 +282,99 @@ def test_suite_tolerances_never_reach_exact_rows(cold_points, monkeypatch):
     assert {"n0", "mid", "np"} <= {r.identity for r in reports}
     for r in reports:
         assert r.passed == (r.identity not in ("n0", "mid", "np")), r
+
+
+EXACT_FAMILIES = ("n0", "mid", "np", "tail", "re_closed_form")
+
+
+def test_exact_rows_pass_off_the_sampled_grid():
+    # the identities are proved in t, so they hold at any eta > 0, not only
+    # at the five the CLI samples by default
+    etas = (0.013, 0.37, 41.0)
+    reports = run_validation_suite(pmax=4, etas=etas, nmax=10, include_oracle=False)
+    exact = [r for r in reports if r.identity in EXACT_FAMILIES]
+    assert len(exact) == 3 * (4 + 4 + 6 + 2 * sum(10 - p for p in range(5)))
+    assert {r.eta for r in exact} == set(etas)
+    assert all(r.passed and r.abs_err == 0.0 and math.isfinite(r.lhs) for r in exact)
+
+
+@seed(20)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.floats(min_value=0.05, max_value=10.0), st.integers(0, 10), st.integers(0, 50))
+def test_symbolic_values_match_the_float_closed_forms(eta, p, n):
+    # relative error of the float point's values against the symbolic point's
+    # at t = Fraction(e^eta), wherever the float value is a normal double
+    fpt, t = LegendreArg.from_eta(eta), Fraction(math.exp(eta))
+    log_coefficient = _log_band_coefficient if n <= p else _log_tail_coefficient
+    for fn, args in ((log_coefficient, (p, n)), (_inverse_coefficient, (p + 1, n)),
+                     (_legendre, (p, min(n, p))), (_legendre, (p, -n))):
+        got = fn(fpt, *args)
+        if abs(got) < sys.float_info.min:
+            continue
+        want = Fraction(*RationalT.of(fn(SYMBOLIC, *args)).at(t))
+        assert abs(Fraction(got) - want) <= Fraction(1e-11) * abs(want), (fn.__name__, args)
+
+
+class _FractionPoint:
+    """The exact point at one t = Fraction(e^eta) in plain Fractions, with no
+    memo: the arithmetic the symbolic point replaces."""
+
+    total = staticmethod(sum)
+
+    def __init__(self, eta):
+        t = self.t = Fraction(math.exp(eta))
+        self.u = 2 / (t * t - 1)
+        self.x = (t * t + 1) / (2 * t)
+        self.sinh = (t * t - 1) / (2 * t)
+
+    @staticmethod
+    def weight(c):
+        return c
+
+    def cached(self, fn, *args):
+        return fn(self, *args)
+
+    def exp(self, k):
+        return self.t**k
+
+    def sinh_pow(self, k):
+        return self.sinh**k
+
+    def scaled_logpoly(self, p, k):
+        return self.t**k * logpoly_recurrence(p, k).eval_exact(self.x)
+
+
+def test_row_sides_equal_a_plain_fraction_evaluation():
+    reports = run_validation_suite(pmax=4, etas=(0.3, 2.0), nmax=9, include_oracle=False)
+    sampled = [r for r in reports if r.identity in EXACT_FAMILIES][::3]
+    assert {r.identity for r in sampled} == set(EXACT_FAMILIES)
+    for r in sampled:
+        pt = _FractionPoint(r.eta)
+        if r.identity == "re_closed_form":
+            lhs = _re_frak(pt, r.n, r.p)
+            rhs = math.prod(range(r.n - r.p, r.n + r.p + 1)) * pt.exp(r.n) * (
+                _log_tail_coefficient(pt, r.p, r.n))
+        else:
+            lhs = _p_frak(pt, r.n, r.p)
+            coefficient = _log_tail_coefficient if r.identity == "tail" else _log_band_coefficient
+            rhs = coefficient(pt, r.p, r.n)
+        assert (r.lhs, r.rhs) == (float(lhs), float(rhs)), r
+
+
+def test_equal_symbolic_values_hash_equal():
+    pt = SYMBOLIC
+    pairs = [
+        (pt.sinh_pow(2), pt.x * pt.x + -1),  # sinh^2 = cosh^2 - 1
+        (pt.exp(1) + pt.exp(-1), 2 * pt.x),
+        (pt.u + 1, pt.x / pt.sinh_pow(1)),  # z = coth eta
+        ((pt.x + -1) * (pt.x + 1) / 3, Fraction(1, 3) * pt.sinh_pow(2)),
+        (pt.sinh_pow(3) / pt.sinh_pow(3), 1),
+        (pt.sinh_pow(-2) * 6 * pt.sinh_pow(2), Fraction(6)),
+        (pt.exp(2) + -pt.exp(2), 0),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+    assert pt.sinh_pow(1) != pt.x and len({pt.x, pt.sinh_pow(1), pt.exp(1) + -pt.sinh_pow(1)}) == 2
+    with pytest.raises(ValueError, match="monomial"):
+        pt.sinh_pow(1) / pt.x
