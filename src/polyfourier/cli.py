@@ -169,6 +169,9 @@ def _parse_point(text: str, d: int):
 
 def _cmd_greens(args) -> int:
     params = SolutionParams(d=args.d, k=args.k)
+    if args.method is not None and not params.is_log_regime:
+        raise ValueError(f"--method selects the log-regime route only (even d, k >= d/2); "
+                         f"d={params.d}, k={params.k} is the power regime")
     x = _parse_point(args.x, args.d)
     xp = _parse_point(args.xp, args.d)
     value = greens_eval(params, x, xp)
@@ -241,12 +244,13 @@ def _cmd_validate(args) -> int:
     )
     failures = sum(not r.passed for r in reports)
     if args.format == "csv":
-        print("identity,p,n,eta,abs_err,rel_err,pass")
+        # line by line: a single 640 KB write to a pipe lost its tail, with
+        # no error, when a signal handler ran during it
+        write = sys.stdout.write
+        write("identity,p,n,eta,abs_err,rel_err,pass\n")
         for r in reports:
-            print(
-                f"{r.identity},{r.p},{r.n},{_fmt(r.eta)},{_fmt(r.abs_err)},"
-                f"{_fmt(r.rel_err)},{'true' if r.passed else 'false'}"
-            )
+            write(f"{r.identity},{r.p},{r.n},{_fmt(r.eta)},{_fmt(r.abs_err)},"
+                  f"{_fmt(r.rel_err)},{'true' if r.passed else 'false'}\n")
     else:
         rows = ",".join(
             f'{{"identity":"{r.identity}","p":{r.p},"n":{r.n},"eta":{_fmt(r.eta)},'

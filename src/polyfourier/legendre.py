@@ -27,7 +27,9 @@ the z-argument functions, keeps u = z - 1 exact and sets eta = log1p(2/u)/2.
 SymbolicLegendreArg is the exact point as a function of t = e^eta, whose
 values are RationalT, P(t) (t^2-1)^e / d with P an integer Laurent
 polynomial; it holds no eta, so the identities validation proves there hold
-for every eta.
+for every eta.  Its total is RationalT.total, which writes all its terms
+over one lcm denominator and canonicalizes the sum once, where sum() would
+canonicalize after every term.
 
 A closed form that the identity suite evaluates more than once
 (_legendre, _neg_order_sum, and _r_frak in series_algebraic) is called
@@ -131,7 +133,12 @@ class RationalT:
     c_i, integer e and d > 0, kept canonical (c_0 and the top c_i nonzero, P
     prime to t^2-1, gcd(c, d) = 1, zero as c = ()): == compares the fields,
     and a constant hashes as the equal Fraction.  It divides by a monomial
-    c t^j (t^2-1)^k / d only, an int or a Fraction included."""
+    c t^j (t^2-1)^k / d only, an int or a Fraction included.
+
+    Scaling by a nonzero monomial keeps c_0 and the top c_i nonzero and P
+    prime to t^2-1, so * and / by a monomial divide out the content gcd
+    only (_times); a product of two polynomials and a sum (total, +) are
+    canonicalized in full."""
 
     __slots__ = ("lo", "c", "e", "d")
 
@@ -147,14 +154,42 @@ class RationalT:
         c = tuple(x // g for x in c) if g > 1 else tuple(c)
         self.lo, self.c, self.e, self.d = lo, c, e, d // g
 
+    def _times(self, lo: int, m: int, e: int, d: int) -> "RationalT":
+        """self * m t^lo (t^2-1)^e / d for integers m and d > 0."""
+        if not (m and self.c):
+            return _ZERO
+        c, d = [x * m for x in self.c], self.d * d
+        g = math.gcd(d, *c)
+        out = object.__new__(RationalT)
+        out.lo, out.e = self.lo + lo, self.e + e
+        out.c, out.d = (tuple(x // g for x in c), d // g) if g > 1 else (tuple(c), d)
+        return out
+
     @staticmethod
     def of(x) -> "RationalT":
         """x as a RationalT, for a RationalT, an int or a Fraction."""
         if isinstance(x, RationalT):
             return x
         if isinstance(x, (int, Fraction)):
-            return RationalT(0, (x.numerator,), 0, x.denominator)
+            return _ONE._times(0, x.numerator, 0, x.denominator)
         raise TypeError(f"RationalT does not mix with {type(x).__name__}")
+
+    @staticmethod
+    def total(terms) -> "RationalT":
+        """The sum of RationalT, int or Fraction terms, written over one lcm
+        denominator and one power of t^2-1 and canonicalized once."""
+        xs = [x for x in map(RationalT.of, terms) if x.c]
+        if len(xs) < 2:
+            return xs[0] if xs else _ZERO
+        e, lo, d = min(x.e for x in xs), min(x.lo for x in xs), math.lcm(*(x.d for x in xs))
+        out = [0] * (max(x.lo + len(x.c) + 2 * x.e for x in xs) - lo - 2 * e)
+        for x in xs:
+            c, scale = x.c, d // x.d
+            for _ in range(x.e - e):  # times t^2 - 1
+                c = _poly_mul(c, (-1, 0, 1))
+            for i, ci in enumerate(c, x.lo - lo):
+                out[i] += ci * scale
+        return RationalT(lo, out, e, d)
 
     def __eq__(self, other):
         other = RationalT.of(other) if isinstance(other, (int, Fraction)) else other
@@ -167,19 +202,7 @@ class RationalT:
         return hash((self.lo, self.c, self.e, self.d))
 
     def __add__(self, other):
-        other = RationalT.of(other)
-        if not self.c or not other.c:
-            return other if not self.c else self
-        e, lo, d = min(self.e, other.e), min(self.lo, other.lo), math.lcm(self.d, other.d)
-        out = [0] * (max(self.lo + len(self.c) + 2 * self.e, other.lo + len(other.c) + 2 * other.e)
-                     - lo - 2 * e)
-        for x in (self, other):
-            c, scale = x.c, d // x.d
-            for _ in range(x.e - e):  # times t^2 - 1
-                c = _poly_mul(c, (-1, 0, 1))
-            for i, ci in enumerate(c, x.lo - lo):
-                out[i] += ci * scale
-        return RationalT(lo, out, e, d)
+        return RationalT.total((self, other))
 
     __radd__ = __add__
 
@@ -188,9 +211,12 @@ class RationalT:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            n = other.numerator
-            return RationalT(self.lo, [x * n for x in self.c], self.e, self.d * other.denominator)
+            return self._times(0, other.numerator, 0, other.denominator)
         other = RationalT.of(other)
+        if len(self.c) == 1:
+            self, other = other, self
+        if len(other.c) == 1:
+            return self._times(other.lo, other.c[0], other.e, other.d)
         return RationalT(self.lo + other.lo, _poly_mul(self.c, other.c), self.e + other.e,
                          self.d * other.d)
 
@@ -201,9 +227,7 @@ class RationalT:
         if len(other.c) != 1:
             raise ValueError("RationalT divides only by a nonzero monomial c t^j (t^2-1)^k / d")
         (c,) = other.c
-        s = other.d if c > 0 else -other.d
-        return RationalT(self.lo - other.lo, [x * s for x in self.c], self.e - other.e,
-                         self.d * abs(c))
+        return self._times(-other.lo, other.d if c > 0 else -other.d, -other.e, abs(c))
 
     def at(self, t) -> tuple[int, int]:
         """(num, den), den > 0, with num/den the value at a rational t = a/b > 1,
@@ -216,6 +240,10 @@ class RationalT:
                         (a * a - b * b, self.e)):
             num, den = (num * base**k, den) if k >= 0 else (num, den * base**-k)
         return num, den
+
+
+_ZERO = RationalT(0, ())
+_ONE = RationalT(0, (1,))
 
 
 class SymbolicLegendreArg:
@@ -232,7 +260,7 @@ class SymbolicLegendreArg:
         self._memo = {}
 
     weight = staticmethod(lambda c: c)  # exact weights stay exact
-    total = staticmethod(sum)
+    total = staticmethod(RationalT.total)
 
     def cached(self, fn, *args):
         if (fn, args) not in self._memo:

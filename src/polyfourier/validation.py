@@ -17,11 +17,16 @@ side cancels through ~13 digits.  So the exact checks take no tolerance:
 their reports carry tol = floor = 0 and pass on equality alone.
 
 run_validation_suite proves each (family, p, n) once per call and builds
-every eta's row from it, evaluated at t = Fraction(e^eta) by Horner's rule in
-integers and one int/int division, as float() of the exact Fraction rounds;
-each verify_* call proves afresh.  The symbolic point memoizes the closed
-forms several proofs share (r_frak, the Gauss sum, P_p^m, e^{k eta} R_p^k)
-by function object and arguments, so a patched closed form runs afresh.
+every eta's row from it, evaluated at t = Fraction(e^eta), formed once per
+eta, by Horner's rule in integers and one int/int division, as float() of
+the exact Fraction rounds; each verify_* call proves afresh.  The symbolic
+point memoizes the closed forms several proofs share (r_frak, the Gauss
+sum, P_p^m, e^{k eta} R_p^k) by function object and arguments, so a patched
+closed form runs afresh.  Within one call the suite also builds each
+(eta, p) pair of log tables once, at nmax, for the cross-route rows, and the
+oracle's log rows read their prefixes; and it computes each quadrature
+(kernel, param, chi, n) once, which the oracle's algebraic and limit rows
+share.  Neither memo outlives the call.
 
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
@@ -274,15 +279,20 @@ def _prove(identity, p, n):
     return lhs, _log_tail_coefficient(pt, p, n), rewrite == _inverse_coefficient(pt, q, n)
 
 
-def _exact_report(identity, p, n, eta, proof=None) -> ValidationReport:
-    """The row at eta of a proof (default: a fresh one); equal sides are
-    evaluated once at t = Fraction(e^eta), unequal sides fail."""
-    t = _exact_t(eta, "an exact identity row needs eta")
-    lhs, rhs, ok = proof or _prove(identity, p, n)
+def _exact_row(identity, p, n, eta, t, proof) -> ValidationReport:
+    """The row at eta, t = Fraction(e^eta), of a proof; equal sides are
+    evaluated once at t, unequal sides fail."""
+    lhs, rhs, ok = proof
     if lhs == rhs:
         num, den = lhs.at(t)
         return _report(identity, p, n, eta, num / den, num / den, extra_ok=ok)
     return _report(identity, p, n, eta, Fraction(*lhs.at(t)), Fraction(*rhs.at(t)), extra_ok=False)
+
+
+def _exact_report(identity, p, n, eta) -> ValidationReport:
+    """The row at eta of a fresh proof."""
+    t = _exact_t(eta, "an exact identity row needs eta")
+    return _exact_row(identity, p, n, eta, t, _prove(identity, p, n))
 
 
 def verify_identity_n0(p: int, eta: float) -> ValidationReport:
@@ -334,15 +344,31 @@ def verify_re_closed_form(p: int, n: int, eta: float) -> ValidationReport:
 # float-route comparisons
 
 
+def _cross_route_rows(alg, lim, tol, floor) -> list[ValidationReport]:
+    return [
+        _report("cross_route", alg.param, n, alg.eta, a, b, tol, floor)
+        for n, (a, b) in enumerate(zip(alg.coeffs, lim.coeffs))
+    ]
+
+
 def compare_log_routes(
     p: int, chi: float, nmax: int, tol: float = 1e-9, floor: float = 1e-12
 ) -> list[ValidationReport]:
     """Coefficient-by-coefficient comparison of the two log-kernel routes."""
     alg = log_series_algebraic(p, chi, nmax)
     lim = log_series_limit(p, chi, nmax)
+    return _cross_route_rows(alg, lim, tol, floor)
+
+
+def _oracle_rows(table, nmax, tol, floor, quad) -> list[ValidationReport]:
+    """table's entries n <= nmax against quad(kernel, param, chi, n)."""
+    kernel, param, chi = table.kernel, table.param, table.chi
+    scaled_floor = floor * kernel_scale(kernel, param, chi)
+    name = f"oracle_{kernel}" + (f"_{table.method}" if kernel == "log" else "")
     return [
-        _report("cross_route", p, n, alg.eta, alg.coeffs[n], lim.coeffs[n], tol, floor)
-        for n in range(nmax + 1)
+        _report(name, param, n, table.eta, table.coeffs[n], quad(kernel, param, chi, n),
+                tol, scaled_floor)
+        for n in range(min(nmax, table.nmax) + 1)
     ]
 
 
@@ -361,15 +387,7 @@ def oracle_reports(
     oracle itself carries only noise (spectral floor of float64).
     """
     table = kernel_table(kernel, param, chi, nmax, method)
-    scaled_floor = floor * kernel_scale(kernel, param, chi)
-    name = f"oracle_{kernel}" + (f"_{method}" if kernel == "log" else "")
-    out = []
-    for n in range(min(nmax, table.nmax) + 1):
-        ref = quad_fourier_coeff(kernel, param, chi, n)
-        out.append(
-            _report(name, param, n, table.eta, table.coeffs[n], ref, tol, scaled_floor)
-        )
-    return out
+    return _oracle_rows(table, nmax, tol, floor, quad_fourier_coeff)
 
 
 def verify_axisym_dual(
@@ -408,34 +426,33 @@ def run_validation_suite(
         raise ValueError("run_validation_suite needs pmax >= 0")
     if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
         raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
-    for eta in etas:
-        _exact_t(eta, "run_validation_suite needs etas")
+    ts = [_exact_t(eta, "run_validation_suite needs etas") for eta in etas]
     keys = [key for p in range(1, pmax + 1)
             for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
     keys += [(family, p, n) for p in range(pmax + 1) for n in range(p + 1, nmax + 1)
              for family in ("tail", "re_closed_form")]
     proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
-    reports = [_exact_report(*key, eta, proof) for eta in etas for key, proof in zip(keys, proofs)]
+    reports = [_exact_row(*key, eta, t, proof)
+               for eta, t in zip(etas, ts) for key, proof in zip(keys, proofs)]
+    routes = {}  # (eta, p): the two log tables at nmax; the oracle reads their prefixes
     for eta in etas:
         chi = math.cosh(eta)
         for p in range(0, pmax + 1):
-            reports.extend(compare_log_routes(p, chi, nmax, tol, floor))
+            alg, lim = routes[eta, p] = (log_series_algebraic(p, chi, nmax),
+                                         log_series_limit(p, chi, nmax))
+            reports.extend(_cross_route_rows(alg, lim, tol, floor))
     if include_oracle:
+        quad = lru_cache(maxsize=None)(quad_fourier_coeff)  # each (kernel, param, chi, n) once
+        top = min(nmax, 40)
         for eta in etas:
             chi = math.cosh(eta)
             otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
             for p in range(0, min(pmax, 5) + 1):
-                reports.extend(
-                    oracle_reports("power", p, chi, p, "closed_form", otol, floor)
-                )
-                for method in ("algebraic", "limit"):
-                    reports.extend(
-                        oracle_reports("log", p, chi, min(nmax, 40), method, otol, floor)
-                    )
+                for table in (kernel_table("power", p, chi), *routes[eta, p]):
+                    reports.extend(_oracle_rows(table, top, otol, floor, quad))
             for q in range(1, min(pmax, 5) + 1):
-                reports.extend(
-                    oracle_reports("inverse_power", q, chi, min(nmax, 40), "closed_form", otol, floor)
-                )
+                inverse = kernel_table("inverse_power", q, chi, top)
+                reports.extend(_oracle_rows(inverse, top, otol, floor, quad))
     for eta in etas:
         if eta < 0.4:
             continue

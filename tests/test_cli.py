@@ -224,6 +224,13 @@ def test_greens_warns_as_coeffs_does_on_an_ill_conditioned_li_table(capsys):
     assert code == 0 and "n,coefficient" in out and err == ""
 
 
+def test_greens_method_outside_the_log_regime_exits_2(capsys):
+    # hii_expansion has one route: a --method there was ignored with exit 0
+    code, out, err = run_cli(capsys, "greens", "--d", "4", "--k", "1", "--x", "1,0,0,0",
+                             "--xp", "2,0,0.5,0", "--method", "limit")
+    assert code == 2 and out == "" and err.startswith("error: ") and "--method" in err
+
+
 def test_greens_usage_errors(capsys):
     code, _, err = run_cli(capsys, "greens", "--d", "2", "--k", "1",
                            "--x", "1,0,0", "--xp", "0,0")

@@ -6,6 +6,7 @@ import functools
 import inspect
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -193,6 +194,44 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
 
 
+def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
+    # the oracle's log rows read the cross-route tables, and its algebraic
+    # and limit rows share one quadrature per (kernel, param, chi, n)
+    grid = dict(pmax=2, etas=(0.5, 1.0), nmax=8)
+    builds, quads = Counter(), Counter()
+    for name in ("log_series_algebraic", "log_series_limit"):
+        def counting(p, chi, *rest, name=name, real=getattr(validation, name)):
+            builds[name, p, chi] += 1
+            return real(p, chi, *rest)
+
+        monkeypatch.setattr(validation, name, counting)
+    real_quad = validation.quad_fourier_coeff
+
+    def counting_quad(kernel, param, chi, n, *rest):
+        quads[kernel, param, chi, n] += 1
+        return real_quad(kernel, param, chi, n, *rest)
+
+    monkeypatch.setattr(validation, "quad_fourier_coeff", counting_quad)
+    assert all(r.passed for r in run_validation_suite(**grid))
+    chis = [math.cosh(eta) for eta in grid["etas"]]
+    tables = [(name, p, chi) for name in ("log_series_algebraic", "log_series_limit")
+              for p in range(3) for chi in chis]
+    assert builds == Counter(tables)
+    assert quads == Counter(
+        [("power", p, chi, n) for chi in chis for p in range(3) for n in range(p + 1)]
+        + [(kernel, param, chi, n) for chi in chis for n in range(9)
+           for kernel, params in (("log", (0, 1, 2)), ("inverse_power", (1, 2)))
+           for param in params]
+    )
+    # no memo outlives a call: a second one builds every table again, and
+    # an oracle off by 1e-6 fails every oracle row and nothing else
+    monkeypatch.setattr(validation, "quad_fourier_coeff", lambda *a: real_quad(*a) + 1e-6)
+    reports = run_validation_suite(**grid)
+    assert builds == Counter(tables * 2)
+    oracle = [r.identity.startswith("oracle_") for r in reports]
+    assert any(oracle) and [r.passed for r in reports] == [not o for o in oracle]
+
+
 # -- the symbolic point and its memo --------------------------------------------
 
 
@@ -378,3 +417,69 @@ def test_equal_symbolic_values_hash_equal():
     assert pt.sinh_pow(1) != pt.x and len({pt.x, pt.sinh_pow(1), pt.exp(1) + -pt.sinh_pow(1)}) == 2
     with pytest.raises(ValueError, match="monomial"):
         pt.sinh_pow(1) / pt.x
+
+
+def _fields(x):
+    return x.lo, x.c, x.e, x.d
+
+
+def _general_sum(terms):
+    """The sum as one general RationalT(lo, c, e, d): every term's Fraction
+    coefficients over the least lo and e, then over one denominator."""
+    xs = [RationalT.of(x) for x in terms]
+    lo, e = min(x.lo for x in xs), min(x.e for x in xs)
+    out = [Fraction(0)] * (max(x.lo + len(x.c) + 2 * x.e for x in xs) - lo - 2 * e)
+    for x in xs:
+        poly = [Fraction(c, x.d) for c in x.c]
+        for _ in range(x.e - e):  # times t^2 - 1
+            poly = [(poly[i - 2] if i >= 2 else 0) - (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + 2)]
+        for i, c in enumerate(poly, x.lo - lo):
+            out[i] += c
+    d = math.lcm(1, *(c.denominator for c in out))
+    return RationalT(lo, [int(c * d) for c in out], e, d)
+
+
+_RATIONALS = st.builds(RationalT, st.integers(-4, 4), st.lists(st.integers(-30, 30), max_size=5),
+                       st.integers(-3, 3), st.integers(1, 40))
+_MONOMIALS = st.builds(RationalT, st.integers(-4, 4), st.tuples(st.integers(-30, 30)),
+                       st.integers(-3, 3), st.integers(1, 40))
+_SCALARS = st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=30)
+
+
+@seed(14)
+@settings(max_examples=200, deadline=None, database=None)
+@given(_RATIONALS, _MONOMIALS, _SCALARS, st.lists(_RATIONALS | _SCALARS, max_size=5))
+def test_rational_fast_paths_match_the_general_construction(a, m, s, terms):
+    # * and / by a monomial divide out the content gcd only, and total
+    # canonicalizes once; each must give the fields the general constructor
+    # gives for the same value
+    n, d = Fraction(s).numerator, Fraction(s).denominator
+    want = RationalT(a.lo, [x * n for x in a.c], a.e, a.d * d)
+    assert _fields(a * s) == _fields(s * a) == _fields(want)
+    want = RationalT(a.lo + m.lo, [x * sum(m.c) for x in a.c], a.e + m.e, a.d * m.d)
+    assert _fields(a * m) == _fields(m * a) == _fields(want)
+    if s:
+        want = RationalT(a.lo, [x * d * (1 if s > 0 else -1) for x in a.c], a.e, a.d * abs(n))
+        assert _fields(a / s) == _fields(want)
+    if m.c:
+        (c,) = m.c
+        want = RationalT(a.lo - m.lo, [x * m.d * (1 if c > 0 else -1) for x in a.c], a.e - m.e,
+                         a.d * abs(c))
+        assert _fields(a / m) == _fields(want)
+    assert _fields(-a) == _fields(RationalT(a.lo, [-x for x in a.c], a.e, a.d))
+    want = _fields(_general_sum([0, *terms]))
+    assert _fields(SYMBOLIC.total(terms)) == want == _fields(sum(terms, RationalT(0, ())))
+
+
+def test_rational_fast_paths_on_the_edge_cases():
+    t2 = RationalT(2, (1,))
+    # a sum that gains a t^2 - 1 factor, and one that cancels to zero
+    assert _fields(SYMBOLIC.total([t2, -1])) == (0, (1,), 1, 1) == _fields(_general_sum([t2, -1]))
+    assert _fields(SYMBOLIC.total([t2, Fraction(-1, 3), -t2, Fraction(1, 3)])) == (0, (), 0, 1)
+    # multiplication by 0, by a negative Fraction, and division by one
+    poly = RationalT(-1, (3, 0, -6), 2, 5)
+    assert _fields(poly * 0) == _fields(0 * poly) == (0, (), 0, 1)
+    assert _fields(poly * Fraction(-5, 3)) == (-1, (-1, 0, 2), 2, 1)
+    assert _fields(poly / Fraction(-3, 7)) == (-1, (-7, 0, 14), 2, 5)
+    assert _fields(poly * SYMBOLIC.u) == (-1, (6, 0, -12), 1, 5)
