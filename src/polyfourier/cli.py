@@ -243,22 +243,21 @@ def _cmd_validate(args) -> int:
         include_oracle=not args.no_oracle,
     )
     failures = sum(not r.passed for r in reports)
+    # one row per write: a single 640 KB write to a pipe lost its tail, with
+    # no error, when a signal handler ran during it
+    write = sys.stdout.write
     if args.format == "csv":
-        # line by line: a single 640 KB write to a pipe lost its tail, with
-        # no error, when a signal handler ran during it
-        write = sys.stdout.write
         write("identity,p,n,eta,abs_err,rel_err,pass\n")
         for r in reports:
             write(f"{r.identity},{r.p},{r.n},{_fmt(r.eta)},{_fmt(r.abs_err)},"
                   f"{_fmt(r.rel_err)},{'true' if r.passed else 'false'}\n")
     else:
-        rows = ",".join(
-            f'{{"identity":"{r.identity}","p":{r.p},"n":{r.n},"eta":{_fmt(r.eta)},'
-            f'"abs_err":{_fmt(r.abs_err)},"rel_err":{_fmt(r.rel_err)},'
-            f'"pass":{"true" if r.passed else "false"}}}'
-            for r in reports
-        )
-        print(f'{{"failures":{failures},"reports":[{rows}]}}')
+        write(f'{{"failures":{failures},"reports":[')
+        for i, r in enumerate(reports):
+            write(f'{"," if i else ""}{{"identity":"{r.identity}","p":{r.p},"n":{r.n},'
+                  f'"eta":{_fmt(r.eta)},"abs_err":{_fmt(r.abs_err)},'
+                  f'"rel_err":{_fmt(r.rel_err)},"pass":{"true" if r.passed else "false"}}}')
+        write("]}\n")
     print(f"{len(reports)} checks, {failures} failures", file=sys.stderr)
     return 1 if failures else 0
 

@@ -22,11 +22,15 @@ eta, by Horner's rule in integers and one int/int division, as float() of
 the exact Fraction rounds; each verify_* call proves afresh.  The symbolic
 point memoizes the closed forms several proofs share (r_frak, the Gauss
 sum, P_p^m, e^{k eta} R_p^k) by function object and arguments, so a patched
-closed form runs afresh.  Within one call the suite also builds each
-(eta, p) pair of log tables once, at nmax, for the cross-route rows, and the
-oracle's log rows read their prefixes; and it computes each quadrature
-(kernel, param, chi, n) once, which the oracle's algebraic and limit rows
-share.  Neither memo outlives the call.
+closed form runs afresh, and this memo lives in the calling process.  The
+suite's float rows (cross-route, oracle, dual form) do not depend on the
+proofs: one worker process builds them while the caller proves the
+identities, and they follow the exact rows in the report.  Within one call
+the worker builds each (eta, p) pair of log tables once, at nmax, for the
+cross-route rows, and the oracle's log rows read their prefixes; and it
+computes each quadrature (kernel, param, chi, n) once, which the oracle's
+algebraic and limit rows share.  Neither memo outlives the call: the worker
+has exited when the suite returns or raises.
 
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
@@ -409,31 +413,10 @@ _ORACLE_TOL = 1e-8  # relative tolerance of the suite's oracle reports at eta >=
 _ORACLE_TOL_SMALL_ETA = 1e-6  # and below eta = 0.5
 
 
-def run_validation_suite(
-    pmax: int = 10,
-    etas: tuple[float, ...] = (0.2, 0.5, 1.0, 2.0, 5.0),
-    nmax: int = 50,
-    tol: float = 1e-9,
-    floor: float = 1e-12,
-    include_oracle: bool = True,
-) -> list[ValidationReport]:
-    """Identity suite + cross-route + oracle + dual-form reports on a grid.
-
-    tol and floor govern the float comparisons only: tol the cross-route
-    rows, floor those and the oracle and dual-form rows.  The exact identity
-    rows pass on equality alone.  Each eta needs e^eta finite and cosh(eta) > 1."""
-    if pmax < 0:
-        raise ValueError("run_validation_suite needs pmax >= 0")
-    if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
-        raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
-    ts = [_exact_t(eta, "run_validation_suite needs etas") for eta in etas]
-    keys = [key for p in range(1, pmax + 1)
-            for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
-    keys += [(family, p, n) for p in range(pmax + 1) for n in range(p + 1, nmax + 1)
-             for family in ("tail", "re_closed_form")]
-    proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
-    reports = [_exact_row(*key, eta, t, proof)
-               for eta, t in zip(etas, ts) for key, proof in zip(keys, proofs)]
+def _float_rows(pmax, etas, nmax, tol, floor, include_oracle) -> list[ValidationReport]:
+    """run_validation_suite's float rows, in its order: cross-route, oracle,
+    dual form.  Runs in the suite's worker process."""
+    reports = []
     routes = {}  # (eta, p): the two log tables at nmax; the oracle reads their prefixes
     for eta in etas:
         chi = math.cosh(eta)
@@ -462,4 +445,46 @@ def run_validation_suite(
             )
             params = SolutionParams(d=2, k=p + 1)
             reports.append(verify_axisym_dual(params, geom, 1e-10, floor))
+    return reports
+
+
+def run_validation_suite(
+    pmax: int = 10,
+    etas: tuple[float, ...] = (0.2, 0.5, 1.0, 2.0, 5.0),
+    nmax: int = 50,
+    tol: float = 1e-9,
+    floor: float = 1e-12,
+    include_oracle: bool = True,
+) -> list[ValidationReport]:
+    """Identity suite + cross-route + oracle + dual-form reports on a grid:
+    the exact identity rows, then the float rows.
+
+    tol and floor govern the float comparisons only: tol the cross-route
+    rows, floor those and the oracle and dual-form rows.  The exact identity
+    rows pass on equality alone.  Each eta needs e^eta finite and cosh(eta) > 1.
+
+    The two halves run at the same time: one worker process, started at the
+    platform's default start method, builds the float rows while the caller
+    proves the identities and builds the exact rows.  An error in the worker
+    is raised here, and the worker has exited when the call returns or
+    raises."""
+    if pmax < 0:
+        raise ValueError("run_validation_suite needs pmax >= 0")
+    if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
+        raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
+    ts = [_exact_t(eta, "run_validation_suite needs etas") for eta in etas]
+    keys = [key for p in range(1, pmax + 1)
+            for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
+    keys += [(family, p, n) for p in range(pmax + 1) for n in range(p + 1, nmax + 1)
+             for family in ("tail", "re_closed_form")]
+    # imported here, not at module top, where it would add ~20 ms to every
+    # `import polyfourier`
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        float_rows = pool.submit(_float_rows, pmax, etas, nmax, tol, floor, include_oracle)
+        proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
+        reports = [_exact_row(*key, eta, t, proof)
+                   for eta, t in zip(etas, ts) for key, proof in zip(keys, proofs)]
+        reports += float_rows.result()
     return reports

@@ -5,6 +5,8 @@ README's examples run, the Python ones and the command lines."""
 import ast
 import doctest
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,3 +191,13 @@ def test_readme_cli_example_output(capsys, command, shown):
         cut = len(shown)
     assert out == shown[:cut]
     assert err == shown[cut + 1:]
+
+
+def test_import_loads_no_process_machinery():
+    # run_validation_suite imports its worker pool when called: at module top
+    # it would add ~20 ms to every `import polyfourier`
+    probe = ("import sys, polyfourier; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"

@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import io
 import json
 import math
 import subprocess
@@ -265,13 +266,46 @@ def test_validate_small_grid_passes(capsys):
     assert "0 failures" in err
 
 
-def test_validate_json_summary(capsys):
-    code, out, _ = run_cli(capsys, "validate", "--pmax", "1", "--etas", "1.0",
-                           "--nmax", "3", "--no-oracle", "--format", "json")
+class _RecordingStdout(io.StringIO):
+    """Keeps every piece written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+def test_validate_json_summary(capsys, monkeypatch):
+    argv = ["validate", "--pmax", "2", "--etas", "0.5,1.0", "--nmax", "8", "--no-oracle",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == 0
     assert all(r["pass"] for r in doc["reports"])
+    # written in pieces: a signal during one large write to a pipe can cut it
+    recording = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", recording)
+    assert main(argv) == 0
+    assert "".join(recording.pieces) == out and len(out.encode()) > 4096
+    assert max(len(piece.encode()) for piece in recording.pieces) <= 4096
+
+
+def test_validate_worker_nonconvergence_exits_3(capsys, monkeypatch):
+    # the suite's float rows run in a worker forked from this process, so it
+    # runs the patched oracle
+    import polyfourier.validation as validation
+    from polyfourier import ConvergenceError
+
+    def blown_cap(*a, **k):
+        raise ConvergenceError("node cap reached")
+
+    monkeypatch.setattr(validation, "quad_fourier_coeff", blown_cap)
+    code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "1.0", "--nmax", "3")
+    assert code == 3 and out == "" and "node cap" in err
 
 
 def test_validate_usage_guard(capsys):

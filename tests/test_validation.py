@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import multiprocessing
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -194,10 +195,13 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
 
 
+FLOAT_GRID = dict(pmax=2, etas=(0.5, 1.0), nmax=8, tol=1e-9, floor=1e-12, include_oracle=True)
+
+
 def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
     # the oracle's log rows read the cross-route tables, and its algebraic
-    # and limit rows share one quadrature per (kernel, param, chi, n)
-    grid = dict(pmax=2, etas=(0.5, 1.0), nmax=8)
+    # and limit rows share one quadrature per (kernel, param, chi, n); the
+    # suite builds its float rows in a worker process, so count them here
     builds, quads = Counter(), Counter()
     for name in ("log_series_algebraic", "log_series_limit"):
         def counting(p, chi, *rest, name=name, real=getattr(validation, name)):
@@ -212,8 +216,8 @@ def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
         return real_quad(kernel, param, chi, n, *rest)
 
     monkeypatch.setattr(validation, "quad_fourier_coeff", counting_quad)
-    assert all(r.passed for r in run_validation_suite(**grid))
-    chis = [math.cosh(eta) for eta in grid["etas"]]
+    assert all(r.passed for r in validation._float_rows(**FLOAT_GRID))
+    chis = [math.cosh(eta) for eta in FLOAT_GRID["etas"]]
     tables = [(name, p, chi) for name in ("log_series_algebraic", "log_series_limit")
               for p in range(3) for chi in chis]
     assert builds == Counter(tables)
@@ -226,10 +230,46 @@ def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
     # no memo outlives a call: a second one builds every table again, and
     # an oracle off by 1e-6 fails every oracle row and nothing else
     monkeypatch.setattr(validation, "quad_fourier_coeff", lambda *a: real_quad(*a) + 1e-6)
-    reports = run_validation_suite(**grid)
+    reports = validation._float_rows(**FLOAT_GRID)
     assert builds == Counter(tables * 2)
     oracle = [r.identity.startswith("oracle_") for r in reports]
     assert any(oracle) and [r.passed for r in reports] == [not o for o in oracle]
+
+
+EXACT_CHECKS = {
+    "n0": lambda p, n, eta: verify_identity_n0(p, eta),
+    "np": lambda p, n, eta: verify_identity_np(p, eta),
+    "mid": verify_identity_mid,
+    "tail": verify_identity_tail,
+    "re_closed_form": verify_re_closed_form,
+}
+
+
+def test_suite_worker_changes_no_row():
+    # the suite's rows are the exact rows, in the suite's order and each
+    # re-proved in this process by its verify_* check, then the float rows
+    # built in this process
+    grid = dict(pmax=3, etas=(0.5, 1.0), nmax=8)
+    reports = run_validation_suite(**grid)
+    assert multiprocessing.active_children() == []
+    keys = [key for p in range(1, 4)
+            for key in [("n0", p, 0), ("np", p, p)] + [("mid", p, n) for n in range(1, p)]]
+    keys += [(family, p, n) for p in range(4) for n in range(p + 1, 9)
+             for family in ("tail", "re_closed_form")]
+    exact = [EXACT_CHECKS[family](p, n, eta) for eta in grid["etas"] for family, p, n in keys]
+    want = exact + validation._float_rows(**grid, tol=1e-9, floor=1e-12, include_oracle=True)
+    assert [dataclasses.astuple(r) for r in reports] == [dataclasses.astuple(r) for r in want]
+
+
+def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch):
+    # the worker is forked from this process, so it runs the patched oracle
+    def blown_cap(*a, **k):
+        raise ConvergenceError("node cap reached")
+
+    monkeypatch.setattr(validation, "quad_fourier_coeff", blown_cap)
+    with pytest.raises(ConvergenceError, match="node cap"):
+        run_validation_suite(pmax=1, etas=(1.0,), nmax=3)
+    assert multiprocessing.active_children() == []
 
 
 # -- the symbolic point and its memo --------------------------------------------
