@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--xp", required=True, help="comma-separated coordinates")
     gr.add_argument("--nmax", type=int)
     gr.add_argument("--method", choices=("algebraic", "limit"))
-    gr.add_argument("--tol", type=float, default=1e-10)
     gr.add_argument("--format", choices=("csv", "json"), default="csv")
 
     va = sub.add_parser("validate", help="identity / cross-route / oracle reports")
@@ -194,10 +193,10 @@ def _cmd_greens(args) -> int:
             geom = None
         if geom is not None:
             if params.is_log_regime:
-                table = li_expansion(params, geom, args.nmax, args.method, args.tol)
+                table = li_expansion(params, geom, args.nmax, args.method)
                 direct = li_direct(params, x, xp)
             else:
-                table = hii_expansion(params, geom, args.nmax, args.tol)
+                table = hii_expansion(params, geom, args.nmax)
                 direct = math.dist(x, xp) ** (2 * params.k - params.d)
             _warn_if_ill_conditioned(table)
             recon = table.reconstruct(geom.psi)

@@ -167,25 +167,25 @@ def kernel_table(
     chi: float,
     nmax: int | None = None,
     method: str | None = None,
-    tail_tol: float = 1e-10,
 ) -> FourierCoeffTable:
     """Cosine series of one azimuthal kernel ("power", "inverse_power" or
-    "log") at chi by the named route.  method=None is the kernel's default
-    route: closed_form, or algebraic for log.  Any other pairing of kernel
-    and method raises ValueError.  The power series is finite (n <= param)
-    and ignores nmax and tail_tol.  Each route is looked up by its module
-    name at call time, so a rebinding of that name (a tracer, a test
-    double) sees the call."""
+    "log") at chi by the named route, n = 0..nmax, or to default_nmax's N
+    when nmax is None.  method=None is the kernel's default route:
+    closed_form, or algebraic for log.  Any other pairing of kernel and
+    method raises ValueError.  The power series is finite (n <= param) and
+    ignores nmax.  li_expansion and hii_expansion build through here.  Each
+    route is looked up by its module name at call time, so a rebinding of
+    that name (a tracer, a test double) sees the call."""
     if kernel == "log":
         if method in (None, "algebraic"):
-            return log_series_algebraic(param, chi, nmax, tail_tol)
+            return log_series_algebraic(param, chi, nmax)
         if method == "limit":
-            return log_series_limit(param, chi, nmax, tail_tol)
+            return log_series_limit(param, chi, nmax)
     elif method in (None, "closed_form"):
         if kernel == "power":
             return power_series(param, chi)
         if kernel == "inverse_power":
-            return inverse_power_series(param, chi, nmax, tail_tol)
+            return inverse_power_series(param, chi, nmax)
     raise ValueError(f"no {method or 'default'} route for the {kernel} kernel")
 
 
@@ -194,7 +194,6 @@ def li_expansion(
     geom: Geometry,
     nmax: int | None = None,
     method: str | None = None,
-    tail_tol: float = 1e-10,
 ) -> FourierCoeffTable:
     """Azimuthal cosine expansion of li_direct about the ring geometry:
     a_n = (2RR')^p { [log(2RR')/2 - beta_{p,d}] f_n + g_n / 2 }, where f/g are
@@ -202,7 +201,7 @@ def li_expansion(
     route for method."""
     p = params.p
     chi = geom.chi
-    gtab = kernel_table("log", p, chi, nmax, method, tail_tol)
+    gtab = kernel_table("log", p, chi, nmax, method)
     ftab = kernel_table("power", p, chi)
     two_rr = 2.0 * geom.R * geom.Rprime
     try:
@@ -218,21 +217,18 @@ def li_expansion(
 
 
 def hii_expansion(
-    params: SolutionParams,
-    geom: Geometry,
-    nmax: int | None = None,
-    tail_tol: float = 1e-10,
+    params: SolutionParams, geom: Geometry, nmax: int | None = None
 ) -> FourierCoeffTable:
     """Azimuthal cosine expansion of the pure power profile r^{2k-d} =
     (2RR')^{-q} (chi - cos psi)^{-q} with q = d/2 - k >= 1."""
     q = params.q
-    htab = inverse_power_series(q, geom.chi, nmax, tail_tol)
+    htab = kernel_table("inverse_power", q, geom.chi, nmax)
     try:
         scale = (2.0 * geom.R * geom.Rprime) ** (-q)
     except OverflowError:
         raise ValueError("hii_expansion: (2RR')^-q overflows double precision") from None
     coeffs = tuple(scale * c for c in htab.coeffs)
-    return FourierCoeffTable("hii", q, geom.chi, htab.eta, "closed_form", coeffs)
+    return FourierCoeffTable("hii", q, geom.chi, htab.eta, htab.method, coeffs)
 
 
 def axisym_component(params: SolutionParams, geom: Geometry) -> float:
@@ -244,5 +240,7 @@ def axisym_component(params: SolutionParams, geom: Geometry) -> float:
 
 
 def li_truncation(params: SolutionParams, geom: Geometry, tail_tol: float = 1e-10) -> int:
-    """Default truncation order for li_expansion at this geometry."""
+    """Truncation order default_nmax(p, eta, tail_tol); at its default it is
+    the N li_expansion uses when nmax is None.  For another tolerance, pass
+    li_expansion(params, geom, nmax=li_truncation(params, geom, tol))."""
     return default_nmax(params.p, geom.eta, tail_tol)

@@ -7,7 +7,9 @@ expansion of (x - cos psi)^p log(x - cos psi).  The family is determined by
     R_p^k = 1/2 R_{p-1}^{k-1} + x R_{p-1}^k + 1/2 R_{p-1}^{k+1},
 
 with R_p^k = 0 for |k| > p.  This module builds the family by that
-recurrence, row by row, and evaluates it in double precision or exactly.
+recurrence, level by level in one loop over the integer numerators
+2^p R_p^k, returns it as exact rationals, and evaluates it in double
+precision or exactly.
 Two independent constructions (a difference scheme in the diagonal variables
 and multinomial extraction from the generating function) live in validation
 as reference constructions; the tests require exact agreement with them.
@@ -28,8 +30,6 @@ __all__ = [
     "logpoly_recurrence",
     "logpoly_eval",
 ]
-
-_HALF = Fraction(1, 2)
 
 
 def horner(coeffs, x, weight):
@@ -68,30 +68,28 @@ class LogPolynomial:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
 
-def _shift_add(dst: list[Fraction], src: tuple[Fraction, ...], shift: int, w: Fraction):
-    for i, c in enumerate(src):
-        dst[i + shift] += w * c
-
-
 @lru_cache(maxsize=None)
 def _recurrence_row(p: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient tuples for k = 0..p at level p, built from level p-1."""
-    if p == 0:
-        return ((Fraction(1),),)
-    prev = _recurrence_row(p - 1)
-
-    def prev_k(k: int) -> tuple[Fraction, ...]:
-        k = abs(k)
-        return prev[k] if k <= p - 1 else ()
-
-    rows = []
-    for k in range(p + 1):
-        out = [Fraction(0)] * (p - k + 1)
-        _shift_add(out, prev_k(k - 1), 0, _HALF)
-        _shift_add(out, prev_k(k), 1, Fraction(1))
-        _shift_add(out, prev_k(k + 1), 0, _HALF)
-        rows.append(tuple(out))
-    return tuple(rows)
+    """Coefficient tuples for k = 0..p at level p.  The numerators
+    N_m^k = 2^m R_m^k keep the recurrence's 1/2, x, 1/2 weights integral,
+    N_m^k = N_{m-1}^{k-1} + 2x N_{m-1}^k + N_{m-1}^{k+1} with N^{-1} = N^1,
+    so the levels are built in integers in one loop and divided by 2^p once."""
+    num = [[1]]
+    for m in range(1, p + 1):
+        nxt = []
+        for k in range(m + 1):
+            out = [0] * (m - k + 1)
+            for j in (abs(k - 1), k + 1):
+                if j < m:
+                    for i, c in enumerate(num[j]):
+                        out[i] += c
+            if k < m:
+                for i, c in enumerate(num[k]):
+                    out[i + 1] += 2 * c
+            nxt.append(out)
+        num = nxt
+    den = 2**p
+    return tuple(tuple(Fraction(c, den) for c in row) for row in num)
 
 
 @lru_cache(maxsize=None)

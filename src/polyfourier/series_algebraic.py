@@ -109,9 +109,7 @@ def q_frak(n: int, p: int, eta: float) -> float:
     return _q_frak(LegendreArg.from_eta(eta), p, n)
 
 
-def log_series_algebraic(
-    p: int, chi: float, nmax: int | None = None, tail_tol: float = 1e-10
-) -> FourierCoeffTable:
+def log_series_algebraic(p: int, chi: float, nmax: int | None = None) -> FourierCoeffTable:
     """Cosine series of (chi - cos psi)^p log(chi - cos psi), algebraic route.
 
     Tables built at eta < 0.2 carry conditioning_warning: the alternating
@@ -120,4 +118,4 @@ def log_series_algebraic(
     """
     if p < 0:
         raise ValueError("log_series_algebraic needs p >= 0")
-    return _table("log", "algebraic", p, chi, _q_frak, nmax, tail_tol, p + 1)
+    return _table("log", "algebraic", p, chi, _q_frak, nmax, p + 1)

@@ -44,15 +44,17 @@ __all__ = [
 _LOG2 = math.log(2.0)
 
 
-def _table(kernel, method, param, chi, coefficient, nmax=None, tail_tol=1e-10, nmin=0):
-    """Table of coefficient(pt, param, n), n = 0..N, N = nmax or default_nmax
-    and at least nmin.  Every route scales by sinh(eta)^param, whose overflow
-    is refused first, by name; any other term out of the float range
-    mid-table (an OverflowError, or fsum meeting +inf and -inf) is refused
-    as an inf entry, which the table names by kernel, param and chi."""
+def _table(kernel, method, param, chi, coefficient, nmax=None, nmin=0):
+    """Table of coefficient(pt, param, n), n = 0..N, N = nmax, or
+    default_nmax(param, eta) at its 1e-10 when nmax is None, and at least
+    nmin; the only place a table's length is chosen.  Every route scales by
+    sinh(eta)^param, whose overflow is refused first, by name; any other
+    term out of the float range mid-table (an OverflowError, or fsum meeting
+    +inf and -inf) is refused as an inf entry, which the table names by
+    kernel, param and chi."""
     eta = eta_from_chi(chi)
     if nmax is None:
-        nmax = default_nmax(param, eta, tail_tol)
+        nmax = default_nmax(param, eta)
     if nmax < nmin:
         raise ValueError("log series needs nmax >= p+1" if nmin else "nmax must be >= 0")
     pt = LegendreArg.from_eta(eta)
@@ -100,13 +102,11 @@ def _inverse_coefficient(pt, q: int, n: int):
     return _neg_order_term(pt, q - 1, n, w, 1) / pt.sinh_pow(q)
 
 
-def inverse_power_series(
-    q: int, chi: float, nmax: int | None = None, tail_tol: float = 1e-10
-) -> FourierCoeffTable:
+def inverse_power_series(q: int, chi: float, nmax: int | None = None) -> FourierCoeffTable:
     """Cosine series of (chi - cos psi)^{-q} for integer q >= 1."""
     if q < 1:
         raise ValueError("inverse_power_series needs q >= 1")
-    return _table("inverse_power", "closed_form", q, chi, _inverse_coefficient, nmax, tail_tol)
+    return _table("inverse_power", "closed_form", q, chi, _inverse_coefficient, nmax)
 
 
 def _log_tail_coefficient(pt, p: int, n: int):
@@ -142,10 +142,8 @@ def _log_coefficient(pt, p: int, n: int):
     return _log_tail_coefficient(pt, p, n)
 
 
-def log_series_limit(
-    p: int, chi: float, nmax: int | None = None, tail_tol: float = 1e-10
-) -> FourierCoeffTable:
+def log_series_limit(p: int, chi: float, nmax: int | None = None) -> FourierCoeffTable:
     """Cosine series of (chi - cos psi)^p log(chi - cos psi), exponent-derivative route."""
     if p < 0:
         raise ValueError("log_series_limit needs p >= 0")
-    return _table("log", "limit", p, chi, _log_coefficient, nmax, tail_tol, p + 1)
+    return _table("log", "limit", p, chi, _log_coefficient, nmax, p + 1)

@@ -4,6 +4,7 @@ README's examples run, the Python ones and the command lines."""
 
 import ast
 import doctest
+import inspect
 import shlex
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import polyfourier
+from polyfourier import greens, series_algebraic, series_limit
 from polyfourier.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,6 +94,33 @@ def _names_used(path: Path, names: set[str]) -> dict[str, set[str]]:
             if name in names:
                 used.setdefault(owner, set()).add(name)
     return used
+
+
+SERIES_ROUTES = {"power_series", "inverse_power_series", "log_series_limit",
+                 "log_series_algebraic"}
+
+
+def test_expansions_build_their_tables_through_kernel_table():
+    used = _names_used(ROOT / "src" / "polyfourier" / "greens.py",
+                       SERIES_ROUTES | {"kernel_table"})
+    assert used["li_expansion"] == used["hii_expansion"] == {"kernel_table"}
+
+
+def test_nmax_is_the_only_truncation_knob():
+    # a table is n = 0..nmax, or default_nmax's N at its fixed 1e-10;
+    # another tolerance is passed as nmax=default_nmax(param, eta, tol)
+    for fn in (series_limit._table, series_limit.log_series_limit,
+               series_limit.inverse_power_series, series_algebraic.log_series_algebraic,
+               greens.kernel_table, greens.li_expansion, greens.hii_expansion):
+        assert "tail_tol" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_greens_has_no_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["greens", "--d", "4", "--k", "2", "--x", "1,0,0,0", "--xp", "2,0,0,0",
+              "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_series_tables_are_built_in_one_pipeline():

@@ -13,6 +13,7 @@ from polyfourier import (
     Geometry,
     SolutionParams,
     axisym_component,
+    default_nmax,
     greens_eval,
     hii_expansion,
     li_direct,
@@ -267,7 +268,7 @@ def test_hii_expansion_reconstructs_distance_power():
     x = (1.0, 0.8, 0.5, 0.0, 0.3, -0.2)
     xp = (-0.4, 0.5, 0.1, 0.2, 0.0, 0.6)
     g = Geometry.from_points(x, xp)
-    t = hii_expansion(params, g, tail_tol=1e-13)
+    t = hii_expansion(params, g, default_nmax(params.q, g.eta, 1e-13))
     r2 = sum((a - b) ** 2 for a, b in zip(x, xp))
     assert t.reconstruct(g.psi) == pytest.approx(r2**-1, rel=1e-9)
     assert t.kernel == "hii" and t.method == "closed_form"

@@ -5,6 +5,8 @@ and the derivative ladder.
 All coefficients are exact rationals, so every equality here is exact."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +95,16 @@ def test_row_sums_are_binomials(p, data):
     )
     assert plain == (x + 1) ** p
     assert alternating == (x - 1) ** p
+
+
+def test_rows_are_built_without_recursion():
+    # one level per stack frame would need ~150 frames; the rows are built in
+    # a loop, so a 100-frame limit is enough
+    probe = ("import sys; from polyfourier import logpoly_recurrence; "
+             "sys.setrecursionlimit(100); print(logpoly_recurrence(150, 0).coeffs[-1])")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "1\n", "")
 
 
 def test_derivative_ladder():

@@ -12,6 +12,7 @@ import pytest
 
 from polyfourier import (
     default_nmax,
+    eta_from_chi,
     harmonic,
     inverse_power_series,
     legendre_deg_deriv,
@@ -122,7 +123,7 @@ def test_inverse_power_reconstructs_kernel():
 
 
 def test_inverse_power_auto_truncation_tail_is_small():
-    t = inverse_power_series(1, CHI, tail_tol=1e-12)
+    t = inverse_power_series(1, CHI, nmax=default_nmax(1, eta_from_chi(CHI), 1e-12))
     assert abs(t.coeffs[-1]) < 1e-11
 
 
