@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     va.add_argument("--nmax", type=int, default=50)
     va.add_argument("--tol", type=float, default=1e-9)
     va.add_argument("--floor", type=float, default=1e-12)
-    va.add_argument("--no-oracle", action="store_true")
     va.add_argument("--format", choices=("csv", "json"), default="csv")
     return top
 
@@ -230,16 +229,12 @@ def _cmd_greens(args) -> int:
 
 def _cmd_validate(args) -> int:
     etas = tuple(float(v) for v in args.etas.split(","))
-    if args.pmax < 0 or args.nmax < args.pmax + 1:
-        print("validate needs --pmax >= 0 and --nmax >= pmax+1", file=sys.stderr)
-        return 2
     reports = run_validation_suite(
         pmax=args.pmax,
         etas=etas,
         nmax=args.nmax,
         tol=args.tol,
         floor=args.floor,
-        include_oracle=not args.no_oracle,
     )
     failures = sum(not r.passed for r in reports)
     # one row per write: a single 640 KB write to a pipe lost its tail, with

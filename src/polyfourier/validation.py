@@ -27,16 +27,18 @@ suite's float rows (cross-route, oracle, dual form) do not depend on the
 proofs: one worker process builds them while the caller proves the
 identities, and they follow the exact rows in the report.  Within one call
 the worker builds each (eta, p) pair of log tables once, at nmax, for the
-cross-route rows, and the oracle's log rows read their prefixes; and it
-computes each quadrature (kernel, param, chi, n) once, which the oracle's
-algebraic and limit rows share.  Neither memo outlives the call: the worker
+cross-route rows, and the oracle's log rows read their prefixes; it runs
+the oracle once per (kernel, param, chi) for all n, and the algebraic and
+limit rows share the log values.  Nothing outlives the call: the worker
 has exited when the suite returns or raises.
 
 The quadrature oracle compares series coefficients against
-(eps_n / 2 pi) * integral of f(psi) cos(n psi); node counts double until the
-estimate moves by less than tol * max(1, max|f|).  The max|f| scaling is the
-spectral-accuracy floor of double precision: for large kernels an absolute
-1e-12 target is unreachable by any quadrature.
+(eps_n / 2 pi) * integral of f(psi) cos(n psi) by the trapezoid rule, which
+is a DFT: one rfft per level of m nodes, doubling from 64, gives every n at
+once, each only where m > 2n (coarser grids alias n to n mod m).  An n stops
+once its estimate moves by at most 1e-12 * max(1, max|f|), the spectral-
+accuracy floor of double precision: for large kernels an absolute 1e-12
+target is unreachable by any quadrature.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -193,7 +194,6 @@ def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> flo
 # quadrature oracle
 
 
-@lru_cache(maxsize=32)
 def _kernel_samples(kernel: str, param: int, chi: float, m: int):
     psi = np.arange(m) * (2.0 * math.pi / m)
     base = chi - np.cos(psi)
@@ -205,29 +205,43 @@ def _kernel_samples(kernel: str, param: int, chi: float, m: int):
         f = base**param * np.log(base)
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
-    return psi, f
+    return f
 
 
 def kernel_scale(kernel: str, param: int, chi: float) -> float:
     """max(1, sup |f|) for the tolerance floors; sampled at 64 nodes."""
-    _, f = _kernel_samples(kernel, param, chi, 64)
+    f = _kernel_samples(kernel, param, chi, 64)
     return max(1.0, float(np.max(np.abs(f))))
 
 
-def quad_fourier_coeff(
-    kernel: str,
-    param: int,
-    chi: float,
-    n: int,
-    nodes: int = 64,
-    max_nodes: int = 2**20,
-    tol: float = 1e-12,
-) -> float:
+def _trapezoid(kernel, param, chi, ns) -> list[float]:
+    """The oracle's value for each n in ns, by the module docstring's rule; an
+    n's value does not depend on the other ns.  ConvergenceError past 2^20 nodes."""
+    todo = dict.fromkeys(ns)  # n: its last estimate, None before the first
+    done = {}
+    m = 64
+    while todo:
+        if m > 2**20:
+            raise ConvergenceError("quadrature did not converge below 2^20 nodes")
+        live = [n for n in todo if 2 * n < m]
+        if live:
+            f = _kernel_samples(kernel, param, chi, m)
+            spec = np.fft.rfft(f)  # spec[k] = sum_j f_j e^{-2 pi i j k / m}
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(f))))
+            for n in live:
+                prev, todo[n] = todo[n], neumann(n) * float(spec[n].real) / m
+                if prev is not None and abs(todo[n] - prev) <= tol:
+                    done[n] = todo.pop(n)
+        m *= 2
+    return [done[n] for n in ns]
+
+
+def quad_fourier_coeff(kernel: str, param: int, chi: float, n: int) -> float:
     """(eps_n / 2 pi) * integral_0^{2 pi} f(psi) cos(n psi) dpsi by the
-    periodic trapezoid rule with node doubling.
+    periodic trapezoid rule with node doubling (see the module docstring).
 
     Raises ConvergenceError if the node cap is reached before two successive
-    levels agree to tol * max(1, max|f|).
+    levels agree to 1e-12 * max(1, max|f|).
     """
     if not (chi > 1.0 and math.isfinite(chi)):
         raise ValueError("quad_fourier_coeff needs a finite chi > 1")
@@ -237,17 +251,7 @@ def quad_fourier_coeff(
         raise ValueError("inverse_power needs q >= 1")
     if kernel in ("power", "log") and param < 0:
         raise ValueError("power/log kernels need p >= 0")
-    m = max(nodes, 8)
-    prev = None
-    while m <= max_nodes:
-        psi, f = _kernel_samples(kernel, param, chi, m)
-        est = neumann(n) * float(f @ np.cos(n * psi)) / m
-        scale = max(1.0, float(np.max(np.abs(f))))
-        if prev is not None and abs(est - prev) <= tol * scale:
-            return est
-        prev = est
-        m *= 2
-    raise ConvergenceError(f"quadrature did not converge below {max_nodes} nodes")
+    return _trapezoid(kernel, param, chi, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +368,13 @@ def compare_log_routes(
     return _cross_route_rows(alg, lim, tol, floor)
 
 
-def _oracle_rows(table, nmax, tol, floor, quad) -> list[ValidationReport]:
-    """table's entries n <= nmax against quad(kernel, param, chi, n)."""
+def _oracle_rows(table, ref, tol, floor) -> list[ValidationReport]:
+    """table's entries n < len(ref) against the oracle's values ref[n]."""
     kernel, param, chi = table.kernel, table.param, table.chi
     scaled_floor = floor * kernel_scale(kernel, param, chi)
     name = f"oracle_{kernel}" + (f"_{table.method}" if kernel == "log" else "")
-    return [
-        _report(name, param, n, table.eta, table.coeffs[n], quad(kernel, param, chi, n),
-                tol, scaled_floor)
-        for n in range(min(nmax, table.nmax) + 1)
-    ]
+    return [_report(name, param, n, table.eta, table.coeffs[n], r, tol, scaled_floor)
+            for n, r in enumerate(ref)]
 
 
 def oracle_reports(
@@ -391,7 +392,8 @@ def oracle_reports(
     oracle itself carries only noise (spectral floor of float64).
     """
     table = kernel_table(kernel, param, chi, nmax, method)
-    return _oracle_rows(table, nmax, tol, floor, quad_fourier_coeff)
+    ref = _trapezoid(kernel, param, chi, range(min(nmax, table.nmax) + 1))
+    return _oracle_rows(table, ref, tol, floor)
 
 
 def verify_axisym_dual(
@@ -413,7 +415,7 @@ _ORACLE_TOL = 1e-8  # relative tolerance of the suite's oracle reports at eta >=
 _ORACLE_TOL_SMALL_ETA = 1e-6  # and below eta = 0.5
 
 
-def _float_rows(pmax, etas, nmax, tol, floor, include_oracle) -> list[ValidationReport]:
+def _float_rows(pmax, etas, nmax, tol, floor) -> list[ValidationReport]:
     """run_validation_suite's float rows, in its order: cross-route, oracle,
     dual form.  Runs in the suite's worker process."""
     reports = []
@@ -424,18 +426,20 @@ def _float_rows(pmax, etas, nmax, tol, floor, include_oracle) -> list[Validation
             alg, lim = routes[eta, p] = (log_series_algebraic(p, chi, nmax),
                                          log_series_limit(p, chi, nmax))
             reports.extend(_cross_route_rows(alg, lim, tol, floor))
-    if include_oracle:
-        quad = lru_cache(maxsize=None)(quad_fourier_coeff)  # each (kernel, param, chi, n) once
-        top = min(nmax, 40)
-        for eta in etas:
-            chi = math.cosh(eta)
-            otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
-            for p in range(0, min(pmax, 5) + 1):
-                for table in (kernel_table("power", p, chi), *routes[eta, p]):
-                    reports.extend(_oracle_rows(table, top, otol, floor, quad))
-            for q in range(1, min(pmax, 5) + 1):
-                inverse = kernel_table("inverse_power", q, chi, top)
-                reports.extend(_oracle_rows(inverse, top, otol, floor, quad))
+    top = min(nmax, 40)
+    for eta in etas:
+        chi = math.cosh(eta)
+        otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
+        for p in range(0, min(pmax, 5) + 1):
+            power = _trapezoid("power", p, chi, range(p + 1))
+            reports.extend(_oracle_rows(kernel_table("power", p, chi), power, otol, floor))
+            log = _trapezoid("log", p, chi, range(top + 1))
+            for table in routes[eta, p]:
+                reports.extend(_oracle_rows(table, log, otol, floor))
+        for q in range(1, min(pmax, 5) + 1):
+            inverse = _trapezoid("inverse_power", q, chi, range(top + 1))
+            table = kernel_table("inverse_power", q, chi, top)
+            reports.extend(_oracle_rows(table, inverse, otol, floor))
     for eta in etas:
         if eta < 0.4:
             continue
@@ -454,7 +458,6 @@ def run_validation_suite(
     nmax: int = 50,
     tol: float = 1e-9,
     floor: float = 1e-12,
-    include_oracle: bool = True,
 ) -> list[ValidationReport]:
     """Identity suite + cross-route + oracle + dual-form reports on a grid:
     the exact identity rows, then the float rows.
@@ -468,8 +471,8 @@ def run_validation_suite(
     proves the identities and builds the exact rows.  An error in the worker
     is raised here, and the worker has exited when the call returns or
     raises."""
-    if pmax < 0:
-        raise ValueError("run_validation_suite needs pmax >= 0")
+    if pmax < 0 or nmax < pmax + 1:
+        raise ValueError("run_validation_suite needs pmax >= 0 and nmax >= pmax + 1")
     if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
         raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
     ts = [_exact_t(eta, "run_validation_suite needs etas") for eta in etas]
@@ -482,7 +485,7 @@ def run_validation_suite(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=1) as pool:
-        float_rows = pool.submit(_float_rows, pmax, etas, nmax, tol, floor, include_oracle)
+        float_rows = pool.submit(_float_rows, pmax, etas, nmax, tol, floor)
         proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
         reports = [_exact_row(*key, eta, t, proof)
                    for eta, t in zip(etas, ts) for key, proof in zip(keys, proofs)]

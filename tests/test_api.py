@@ -123,6 +123,18 @@ def test_greens_has_no_tolerance_flag(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_the_oracle_has_no_knobs(capsys):
+    # the trapezoid oracle always runs, to the node cap and stopping rule of
+    # validation's module docstring
+    assert list(inspect.signature(polyfourier.quad_fourier_coeff).parameters) == [
+        "kernel", "param", "chi", "n"]
+    assert "include_oracle" not in inspect.signature(polyfourier.run_validation_suite).parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--pmax", "1", "--etas", "0.5", "--nmax", "4", "--no-oracle"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_series_tables_are_built_in_one_pipeline():
     # eta, the truncation order and the table record are formed in
     # series_limit._table alone; every route calls it

@@ -164,6 +164,15 @@ def test_coeffs_oracle_nonconvergence_exits_3(capsys, monkeypatch):
     assert code == 3 and "node cap" in err
 
 
+def test_coeffs_oracle_does_not_alias_high_modes(capsys):
+    # the cubic's cosine series stops at n = 3; 64 and 128 nodes both read
+    # n = 129 as n = 1 and printed 129,-12.750000000000075
+    code, out, _ = run_cli(capsys, "coeffs", "--kernel", "power", "--p", "3",
+                           "--chi", "2.0", "--nmax", "129", "--method", "oracle")
+    n, c = out.splitlines()[-1].split(",")
+    assert code == 0 and n == "129" and abs(float(c)) < 1e-12
+
+
 def test_coeffs_truncation_cap_exits_3(capsys):
     # chi this close to 1 needs more than the truncation rule's 10^6 terms
     code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", "--p", "3",
@@ -258,7 +267,7 @@ def test_greens_out_of_range_points_exit_2(capsys, d, k, x, xp):
 
 def test_validate_small_grid_passes(capsys):
     code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "0.5",
-                             "--nmax", "4", "--no-oracle")
+                             "--nmax", "4")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "identity,p,n,eta,abs_err,rel_err,pass"
@@ -279,7 +288,7 @@ class _RecordingStdout(io.StringIO):
 
 
 def test_validate_json_summary(capsys, monkeypatch):
-    argv = ["validate", "--pmax", "2", "--etas", "0.5,1.0", "--nmax", "8", "--no-oracle",
+    argv = ["validate", "--pmax", "2", "--etas", "0.5,1.0", "--nmax", "8",
             "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -303,7 +312,7 @@ def test_validate_worker_nonconvergence_exits_3(capsys, monkeypatch):
     def blown_cap(*a, **k):
         raise ConvergenceError("node cap reached")
 
-    monkeypatch.setattr(validation, "quad_fourier_coeff", blown_cap)
+    monkeypatch.setattr(validation, "_trapezoid", blown_cap)
     code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "1.0", "--nmax", "3")
     assert code == 3 and out == "" and "node cap" in err
 
@@ -318,7 +327,7 @@ def test_validate_usage_guard(capsys):
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf"), ("--floor", "nan")])
 def test_validate_refuses_a_bad_tolerance(capsys, flag, value):
     code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "0.5",
-                             "--nmax", "4", "--no-oracle", flag, value)
+                             "--nmax", "4", flag, value)
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
@@ -327,7 +336,7 @@ def test_validate_refuses_a_bad_eta_by_name(capsys, eta):
     # not > 0, not finite, e^eta overflows, or cosh(eta) rounds to 1; the
     # bad eta follows a good one, and still nothing reaches stdout
     code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", f"0.5,{eta}",
-                             "--nmax", "4", "--no-oracle")
+                             "--nmax", "4")
     assert code == 2 and out == ""
     assert err.startswith("error: run_validation_suite needs etas"), err
 
@@ -335,7 +344,7 @@ def test_validate_refuses_a_bad_eta_by_name(capsys, eta):
 def test_validate_band_free_grid_passes(capsys):
     # with no banded identities in range the remaining checks still pass
     code, out, _ = run_cli(capsys, "validate", "--pmax", "0", "--etas", "1.0",
-                           "--nmax", "6", "--no-oracle")
+                           "--nmax", "6")
     assert code == 0
     body = out.splitlines()[1:]
     assert body and all(l.endswith(",true") for l in body)

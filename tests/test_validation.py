@@ -74,10 +74,29 @@ def test_quadrature_validates_arguments():
 
 
 def test_quadrature_raises_at_node_cap():
-    # a single level leaves nothing to compare against, so no convergence
-    # claim can be made
+    # chi this close to 1 puts a near-pole on the circle: successive levels
+    # still disagree at 2^20 nodes, so no convergence claim can be made
     with pytest.raises(ConvergenceError):
-        quad_fourier_coeff("log", 1, CHI, 0, nodes=64, max_nodes=64)
+        quad_fourier_coeff("inverse_power", 1, 1 + 1e-13, 0)
+
+
+def test_quadrature_does_not_alias_high_modes():
+    # below m = 2n nodes the rule sees cos(n psi) as cos((n mod m) psi), and
+    # two such levels agreed on the wrong coefficient: -2.890 for the first,
+    # -12.75 for the second, where both are 0 to double precision
+    assert abs(quad_fourier_coeff("log", 2, 1.5, 129)) < 1e-12
+    assert abs(quad_fourier_coeff("power", 3, 2.0, 129)) < 1e-12
+
+
+@pytest.mark.parametrize("kernel, param, eta", [
+    ("power", 3, 0.5), ("log", 0, 0.2), ("log", 5, 1.0), ("log", 2, 5.0),
+    ("inverse_power", 1, 0.2), ("inverse_power", 4, 2.0),
+])
+def test_one_trapezoid_call_gives_each_n_its_own_bits(kernel, param, eta):
+    # the suite asks for n = 0..40 in one call; each n stops by its own rule
+    chi = math.cosh(eta)
+    many = validation._trapezoid(kernel, param, chi, range(41))
+    assert many == [quad_fourier_coeff(kernel, param, chi, n) for n in range(41)]
 
 
 def test_kernel_scale_tracks_kernel_magnitude():
@@ -162,9 +181,7 @@ def test_axisym_dual_report():
 
 
 def test_suite_driver_small_grid_all_pass():
-    reports = run_validation_suite(
-        pmax=2, etas=(0.5, 1.0), nmax=8, include_oracle=True
-    )
+    reports = run_validation_suite(pmax=2, etas=(0.5, 1.0), nmax=8)
     assert reports and all(r.passed for r in reports)
     names = {r.identity for r in reports}
     assert {
@@ -184,6 +201,18 @@ def test_suite_driver_small_grid_all_pass():
         run_validation_suite(pmax=-1)
 
 
+def test_suite_refuses_a_short_grid_before_its_worker_starts(monkeypatch):
+    # the log series need nmax >= p+1; the worker used to find that out
+    import concurrent.futures
+
+    def no_pool(*a, **k):
+        raise AssertionError("worker started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=r"run_validation_suite needs .*nmax >= pmax \+ 1"):
+        run_validation_suite(pmax=3, nmax=2)
+
+
 def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     # pmax = 0 leaves only the checks that exist at p = 0: the tail family,
     # the closed-form rearrangement, route comparison, oracles, and the
@@ -195,12 +224,12 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
 
 
-FLOAT_GRID = dict(pmax=2, etas=(0.5, 1.0), nmax=8, tol=1e-9, floor=1e-12, include_oracle=True)
+FLOAT_GRID = dict(pmax=2, etas=(0.5, 1.0), nmax=8, tol=1e-9, floor=1e-12)
 
 
 def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
     # the oracle's log rows read the cross-route tables, and its algebraic
-    # and limit rows share one quadrature per (kernel, param, chi, n); the
+    # and limit rows share one trapezoid call per (kernel, param, chi); the
     # suite builds its float rows in a worker process, so count them here
     builds, quads = Counter(), Counter()
     for name in ("log_series_algebraic", "log_series_limit"):
@@ -209,27 +238,28 @@ def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
             return real(p, chi, *rest)
 
         monkeypatch.setattr(validation, name, counting)
-    real_quad = validation.quad_fourier_coeff
+    real_trapezoid = validation._trapezoid
 
-    def counting_quad(kernel, param, chi, n, *rest):
-        quads[kernel, param, chi, n] += 1
-        return real_quad(kernel, param, chi, n, *rest)
+    def counting_trapezoid(kernel, param, chi, ns):
+        quads[kernel, param, chi, tuple(ns)] += 1
+        return real_trapezoid(kernel, param, chi, ns)
 
-    monkeypatch.setattr(validation, "quad_fourier_coeff", counting_quad)
+    monkeypatch.setattr(validation, "_trapezoid", counting_trapezoid)
     assert all(r.passed for r in validation._float_rows(**FLOAT_GRID))
     chis = [math.cosh(eta) for eta in FLOAT_GRID["etas"]]
     tables = [(name, p, chi) for name in ("log_series_algebraic", "log_series_limit")
               for p in range(3) for chi in chis]
     assert builds == Counter(tables)
     assert quads == Counter(
-        [("power", p, chi, n) for chi in chis for p in range(3) for n in range(p + 1)]
-        + [(kernel, param, chi, n) for chi in chis for n in range(9)
+        [("power", p, chi, tuple(range(p + 1))) for chi in chis for p in range(3)]
+        + [(kernel, param, chi, tuple(range(9))) for chi in chis
            for kernel, params in (("log", (0, 1, 2)), ("inverse_power", (1, 2)))
            for param in params]
     )
     # no memo outlives a call: a second one builds every table again, and
     # an oracle off by 1e-6 fails every oracle row and nothing else
-    monkeypatch.setattr(validation, "quad_fourier_coeff", lambda *a: real_quad(*a) + 1e-6)
+    monkeypatch.setattr(validation, "_trapezoid",
+                        lambda *a: [v + 1e-6 for v in real_trapezoid(*a)])
     reports = validation._float_rows(**FLOAT_GRID)
     assert builds == Counter(tables * 2)
     oracle = [r.identity.startswith("oracle_") for r in reports]
@@ -257,7 +287,7 @@ def test_suite_worker_changes_no_row():
     keys += [(family, p, n) for p in range(4) for n in range(p + 1, 9)
              for family in ("tail", "re_closed_form")]
     exact = [EXACT_CHECKS[family](p, n, eta) for eta in grid["etas"] for family, p, n in keys]
-    want = exact + validation._float_rows(**grid, tol=1e-9, floor=1e-12, include_oracle=True)
+    want = exact + validation._float_rows(**grid, tol=1e-9, floor=1e-12)
     assert [dataclasses.astuple(r) for r in reports] == [dataclasses.astuple(r) for r in want]
 
 
@@ -266,7 +296,7 @@ def test_a_worker_error_reaches_the_caller_and_leaves_no_process(monkeypatch):
     def blown_cap(*a, **k):
         raise ConvergenceError("node cap reached")
 
-    monkeypatch.setattr(validation, "quad_fourier_coeff", blown_cap)
+    monkeypatch.setattr(validation, "_trapezoid", blown_cap)
     with pytest.raises(ConvergenceError, match="node cap"):
         run_validation_suite(pmax=1, etas=(1.0,), nmax=3)
     assert multiprocessing.active_children() == []
@@ -295,7 +325,7 @@ def _count_eval_exact(monkeypatch):
     return calls
 
 
-SMALL_SUITE = dict(pmax=3, etas=(0.5, 1.0), nmax=8, include_oracle=False)
+SMALL_SUITE = dict(pmax=3, etas=(0.5, 1.0), nmax=8)
 
 
 def test_suite_evaluates_each_logpoly_value_once(cold_points, monkeypatch):
@@ -356,8 +386,7 @@ def test_suite_tolerances_never_reach_exact_rows(cold_points, monkeypatch):
     monkeypatch.setattr(
         validation, "_log_band_coefficient", _off_by_tiny(validation._log_band_coefficient)
     )
-    reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6, tol=1.0, floor=1.0,
-                                   include_oracle=False)
+    reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6, tol=1.0, floor=1.0)
     assert {"n0", "mid", "np"} <= {r.identity for r in reports}
     for r in reports:
         assert r.passed == (r.identity not in ("n0", "mid", "np")), r
@@ -370,7 +399,7 @@ def test_exact_rows_pass_off_the_sampled_grid():
     # the identities are proved in t, so they hold at any eta > 0, not only
     # at the five the CLI samples by default
     etas = (0.013, 0.37, 41.0)
-    reports = run_validation_suite(pmax=4, etas=etas, nmax=10, include_oracle=False)
+    reports = run_validation_suite(pmax=4, etas=etas, nmax=10)
     exact = [r for r in reports if r.identity in EXACT_FAMILIES]
     assert len(exact) == 3 * (4 + 4 + 6 + 2 * sum(10 - p for p in range(5)))
     assert {r.eta for r in exact} == set(etas)
@@ -424,7 +453,7 @@ class _FractionPoint:
 
 
 def test_row_sides_equal_a_plain_fraction_evaluation():
-    reports = run_validation_suite(pmax=4, etas=(0.3, 2.0), nmax=9, include_oracle=False)
+    reports = run_validation_suite(pmax=4, etas=(0.3, 2.0), nmax=9)
     sampled = [r for r in reports if r.identity in EXACT_FAMILIES][::3]
     assert {r.identity for r in sampled} == set(EXACT_FAMILIES)
     for r in sampled:
