@@ -30,7 +30,7 @@ from .greens import (
 )
 from .logpoly import logpoly_recurrence
 from .scalars import eta_from_chi
-from .validation import quad_fourier_coeff, run_validation_suite
+from .validation import quad_fourier_coeffs, run_validation_suite
 
 __all__ = ["main"]
 
@@ -130,7 +130,7 @@ def _coeffs_table(args):
         if nmax is None and kernel != "power":
             raise ValueError("--method oracle needs an explicit --nmax")
         top = param if nmax is None else nmax
-        coeffs = [quad_fourier_coeff(kernel, param, args.chi, n) for n in range(top + 1)]
+        coeffs = quad_fourier_coeffs(kernel, param, args.chi, range(top + 1))
         return kernel, param, "oracle", coeffs
     t = kernel_table(kernel, param, args.chi, nmax, args.method)
     _warn_if_ill_conditioned(t)

@@ -14,6 +14,8 @@ kernels handled by the series modules.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,6 +163,40 @@ def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float
     return r ** (2 * params.k - params.d) * (math.log(r) - float(beta_pd(p, params.d)))
 
 
+class _TableMemo:
+    """Tables by key, least recently used first, holding at most `budget`
+    coefficients in all; a table longer than the budget is not held."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0  # coefficients in the held tables
+        self._tables: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            table = self._tables.get(key)
+            if table is not None:
+                self._tables.move_to_end(key)
+            return table
+
+    def put(self, key, table: FourierCoeffTable):
+        size = len(table.coeffs)
+        with self._lock:
+            if size > self.budget or key in self._tables:
+                return
+            self._tables[key] = table
+            self.held += size
+            while self.held > self.budget:
+                _, old = self._tables.popitem(last=False)
+                self.held -= len(old.coeffs)
+
+
+# 2^15 coefficients: about 1 MB of float objects and their tuple slots
+_TABLE_BUDGET = 2**15
+_TABLES = _TableMemo(_TABLE_BUDGET)
+
+
 def kernel_table(
     kernel: str,
     param: int,
@@ -173,20 +209,35 @@ def kernel_table(
     when nmax is None.  method=None is the kernel's default route:
     closed_form, or algebraic for log.  Any other pairing of kernel and
     method raises ValueError.  The power series is finite (n <= param) and
-    ignores nmax.  li_expansion and hii_expansion build through here.  Each
-    route is looked up by its module name at call time, so a rebinding of
-    that name (a tracer, a test double) sees the call."""
-    if kernel == "log":
-        if method in (None, "algebraic"):
-            return log_series_algebraic(param, chi, nmax)
-        if method == "limit":
-            return log_series_limit(param, chi, nmax)
-    elif method in (None, "closed_form"):
-        if kernel == "power":
-            return power_series(param, chi)
-        if kernel == "inverse_power":
-            return inverse_power_series(param, chi, nmax)
-    raise ValueError(f"no {method or 'default'} route for the {kernel} kernel")
+    ignores nmax.  li_expansion and hii_expansion build through here.
+
+    Recently built tables are held, least recently used first out, up to
+    _TABLE_BUDGET (2^15) coefficients in all, and a repeated call returns
+    the held table object: tables are immutable, and a held table is the
+    one its route built.  The key is the route function, then (param, chi,
+    nmax), without nmax for the power series; a table longer than the
+    budget is returned but not held, and a call that raises holds nothing.
+    Each route is looked up by its module name at call time, so a
+    rebinding of that name (a tracer, a test double) misses the held tables
+    and sees the call.  Patching a closed form under a route does not evict
+    the tables already held."""
+    args = (param, chi, nmax)
+    if kernel == "log" and method in (None, "algebraic"):
+        route = log_series_algebraic
+    elif kernel == "log" and method == "limit":
+        route = log_series_limit
+    elif kernel == "power" and method in (None, "closed_form"):
+        route, args = power_series, (param, chi)
+    elif kernel == "inverse_power" and method in (None, "closed_form"):
+        route = inverse_power_series
+    else:
+        raise ValueError(f"no {method or 'default'} route for the {kernel} kernel")
+    key = (route, *args)
+    table = _TABLES.get(key)
+    if table is None:
+        table = route(*args)
+        _TABLES.put(key, table)
+    return table
 
 
 def li_expansion(

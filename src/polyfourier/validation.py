@@ -34,8 +34,9 @@ has exited when the suite returns or raises.
 
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi) by the trapezoid rule, which
-is a DFT: one rfft per level of m nodes, doubling from 64, gives every n at
-once, each only where m > 2n (coarser grids alias n to n mod m).  An n stops
+is a DFT: one rfft per level of m nodes, doubling from 64 to 2^20, gives
+every n at once, each only where m > 2n (coarser grids alias n to n mod m),
+so an n >= 2^19, which no grid estimates, is refused.  An n stops
 once its estimate moves by at most 1e-12 * max(1, max|f|), the spectral-
 accuracy floor of double precision: for large kernels an absolute 1e-12
 target is unreachable by any quadrature.
@@ -68,6 +69,7 @@ __all__ = [
     "logpoly_from_genfun",
     "legendre_p_nu",
     "quad_fourier_coeff",
+    "quad_fourier_coeffs",
     "verify_identity_n0",
     "verify_identity_mid",
     "verify_identity_np",
@@ -214,14 +216,18 @@ def kernel_scale(kernel: str, param: int, chi: float) -> float:
     return max(1.0, float(np.max(np.abs(f))))
 
 
+_MAX_NODES = 2**20  # the trapezoid oracle's node cap
+
+
 def _trapezoid(kernel, param, chi, ns) -> list[float]:
     """The oracle's value for each n in ns, by the module docstring's rule; an
-    n's value does not depend on the other ns.  ConvergenceError past 2^20 nodes."""
+    n's value does not depend on the other ns.  ConvergenceError past
+    _MAX_NODES nodes."""
     todo = dict.fromkeys(ns)  # n: its last estimate, None before the first
     done = {}
     m = 64
     while todo:
-        if m > 2**20:
+        if m > _MAX_NODES:
             raise ConvergenceError("quadrature did not converge below 2^20 nodes")
         live = [n for n in todo if 2 * n < m]
         if live:
@@ -236,22 +242,37 @@ def _trapezoid(kernel, param, chi, ns) -> list[float]:
     return [done[n] for n in ns]
 
 
+def quad_fourier_coeffs(kernel: str, param: int, chi: float, ns) -> list[float]:
+    """quad_fourier_coeff for each n in ns, from one trapezoid run: each n
+    gets the value, and the bits, of its own one-n call.
+
+    Raises ValueError for an n that no grid can estimate: an n is estimated
+    only on grids of more than 2n nodes, and the cap is 2^20, so n < 2^19.
+    """
+    ns = list(ns)
+    if not (chi > 1.0 and math.isfinite(chi)):
+        raise ValueError("quad_fourier_coeff needs a finite chi > 1")
+    if any(n < 0 for n in ns):
+        raise ValueError("quad_fourier_coeff needs n >= 0")
+    if any(2 * n >= _MAX_NODES for n in ns):
+        raise ValueError("quad_fourier_coeff needs n < 2^19: an n is estimated only on "
+                         "grids of more than 2n nodes, and the cap is 2^20 nodes")
+    if kernel == "inverse_power" and param < 1:
+        raise ValueError("inverse_power needs q >= 1")
+    if kernel in ("power", "log") and param < 0:
+        raise ValueError("power/log kernels need p >= 0")
+    return _trapezoid(kernel, param, chi, ns)
+
+
 def quad_fourier_coeff(kernel: str, param: int, chi: float, n: int) -> float:
     """(eps_n / 2 pi) * integral_0^{2 pi} f(psi) cos(n psi) dpsi by the
     periodic trapezoid rule with node doubling (see the module docstring).
 
     Raises ConvergenceError if the node cap is reached before two successive
-    levels agree to 1e-12 * max(1, max|f|).
+    levels agree to 1e-12 * max(1, max|f|), and ValueError for n >= 2^19,
+    which no grid below the cap can estimate.
     """
-    if not (chi > 1.0 and math.isfinite(chi)):
-        raise ValueError("quad_fourier_coeff needs a finite chi > 1")
-    if n < 0:
-        raise ValueError("quad_fourier_coeff needs n >= 0")
-    if kernel == "inverse_power" and param < 1:
-        raise ValueError("inverse_power needs q >= 1")
-    if kernel in ("power", "log") and param < 0:
-        raise ValueError("power/log kernels need p >= 0")
-    return _trapezoid(kernel, param, chi, (n,))[0]
+    return quad_fourier_coeffs(kernel, param, chi, (n,))[0]
 
 
 # ---------------------------------------------------------------------------

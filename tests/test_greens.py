@@ -6,6 +6,9 @@ directly, sign included, so any sign or normalization slip in the library is
 caught against an independently expanded formula."""
 
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,6 +24,7 @@ from polyfourier import (
     li_truncation,
     log_series_algebraic,
 )
+import polyfourier.greens as greens
 from polyfourier.greens import DegenerateGeometryError, kernel_table
 from polyfourier.validation import verify_axisym_dual
 
@@ -272,6 +276,106 @@ def test_hii_expansion_reconstructs_distance_power():
     r2 = sum((a - b) ** 2 for a, b in zip(x, xp))
     assert t.reconstruct(g.psi) == pytest.approx(r2**-1, rel=1e-9)
     assert t.kernel == "hii" and t.method == "closed_form"
+
+
+# -- held tables ---------------------------------------------------------------
+
+
+def _counting(monkeypatch, name):
+    """Rebind greens' route `name` to a double that counts its calls."""
+    calls = []
+    real = getattr(greens, name)
+
+    def route(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(greens, name, route)
+    return calls
+
+
+def test_a_repeated_table_is_built_once(monkeypatch):
+    calls = _counting(monkeypatch, "log_series_algebraic")
+    params, g = SolutionParams(2, 3), Geometry(1.3, 0.7, 0.2)
+    first = li_expansion(params, g, nmax=14)
+    assert li_expansion(params, g, nmax=14) == first
+    assert len(calls) == 1
+    held = kernel_table("log", 2, g.chi, 14)
+    assert kernel_table("log", 2, g.chi, 14) is held
+    assert len(calls) == 1
+    assert held == log_series_algebraic(2, g.chi, 14)
+
+
+def test_a_rebound_route_sees_its_next_call(monkeypatch):
+    # the held table was built by the real route; a double misses it
+    held = kernel_table("log", 3, 1.625, 11, "limit")
+    calls = _counting(monkeypatch, "log_series_limit")
+    again = kernel_table("log", 3, 1.625, 11, "limit")
+    assert calls == [(3, 1.625, 11)]
+    assert again == held and again is not held
+
+
+def test_held_coefficients_stay_within_the_budget(monkeypatch):
+    calls = _counting(monkeypatch, "inverse_power_series")
+    chis = [1.4375 + i / 64 for i in range(9)]
+    for chi in chis:  # 9 x 4001 coefficients, past the 2^15 budget
+        kernel_table("inverse_power", 1, chi, 4000)
+        assert greens._TABLES.held <= greens._TABLE_BUDGET == 2**15
+    kernel_table("inverse_power", 1, chis[-1], 4000)  # the newest is held
+    assert len(calls) == 9
+    kernel_table("inverse_power", 1, chis[0], 4000)  # the oldest was let go
+    assert len(calls) == 10
+
+
+def test_a_table_longer_than_the_budget_is_not_held(monkeypatch):
+    calls = _counting(monkeypatch, "inverse_power_series")
+    held = greens._TABLES.held
+    table = kernel_table("inverse_power", 1, 1.5, 2**15)
+    assert table.nmax == 2**15
+    assert kernel_table("inverse_power", 1, 1.5, 2**15) == table
+    assert len(calls) == 2 and greens._TABLES.held == held
+
+
+def test_a_refused_table_is_refused_again(monkeypatch):
+    calls = _counting(monkeypatch, "log_series_algebraic")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            kernel_table("log", 2, 1e300)
+    assert len(calls) == 2
+
+
+def test_threads_on_the_same_keys_get_equal_tables():
+    # more threads than cores, switching often, on keys whose tables pass the
+    # budget together, so holds and evictions interleave
+    keys = [(kernel, param, 1.0 + 2.0**-k, 9, method)
+            for k in range(3, 6) for param in (1, 3)
+            for kernel, method in (("log", "algebraic"), ("log", "limit"),
+                                   ("power", "closed_form"), ("inverse_power", "closed_form"))]
+    keys += [("inverse_power", 1, 2.0 + i / 8, 4000, None) for i in range(9)]
+    fresh = {"algebraic": log_series_algebraic, "limit": greens.log_series_limit}
+
+    def build(seed):
+        order = random.Random(seed).sample(keys, len(keys))
+        return {key: kernel_table(*key) for key in order * 2}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(build, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    memo = greens._TABLES
+    assert memo.held == sum(len(t.coeffs) for t in memo._tables.values()) <= 2**15
+    for kernel, param, chi, nmax, method in keys:
+        if kernel == "power":
+            want = greens.power_series(param, chi)
+        elif kernel == "inverse_power":
+            want = greens.inverse_power_series(param, chi, nmax)
+        else:
+            want = fresh[method](param, chi, nmax)
+        for tables in results:
+            assert tables[kernel, param, chi, nmax, method] == want
 
 
 # -- axisymmetric component -----------------------------------------------------

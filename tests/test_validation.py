@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+import polyfourier
 import polyfourier.legendre as legendre
 import polyfourier.series_algebraic as series_algebraic
 import polyfourier.series_limit as series_limit
@@ -97,6 +98,32 @@ def test_one_trapezoid_call_gives_each_n_its_own_bits(kernel, param, eta):
     chi = math.cosh(eta)
     many = validation._trapezoid(kernel, param, chi, range(41))
     assert many == [quad_fourier_coeff(kernel, param, chi, n) for n in range(41)]
+
+
+def test_oracle_refuses_an_n_no_grid_can_estimate():
+    # an n is estimated only on grids of more than 2n nodes; the cap is 2^20
+    for n in (600000, 2**19):
+        with pytest.raises(ValueError, match=r"n < 2\^19.*2n nodes"):
+            quad_fourier_coeff("log", 0, 2.0, n)
+    with pytest.raises(ValueError, match=r"n < 2\^19"):
+        validation.quad_fourier_coeffs("power", 1, 2.0, [0, 2**19])
+    # the largest n left has one grid, 2^20 nodes, and so no second estimate
+    with pytest.raises(ConvergenceError, match=r"2\^20 nodes"):
+        quad_fourier_coeff("power", 1, 2.0, 2**19 - 1)
+
+
+def test_many_n_oracle_call_checks_its_inputs_and_keeps_the_bits():
+    chi = math.cosh(0.5)
+    assert validation.quad_fourier_coeffs("log", 3, chi, range(30, -1, -3)) == [
+        quad_fourier_coeff("log", 3, chi, n) for n in range(30, -1, -3)]
+    assert validation.quad_fourier_coeffs("log", 3, chi, []) == []
+    for args in (("cubic", 1, CHI), ("power", 1, 0.9), ("inverse_power", 0, CHI),
+                 ("log", -1, CHI), ("power", 1, math.inf)):
+        with pytest.raises(ValueError):
+            validation.quad_fourier_coeffs(*args, [0, 1])
+    with pytest.raises(ValueError, match="n >= 0"):
+        validation.quad_fourier_coeffs("power", 1, CHI, [0, -1])
+    assert "quad_fourier_coeffs" not in polyfourier.__all__
 
 
 def test_kernel_scale_tracks_kernel_magnitude():
