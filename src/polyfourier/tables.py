@@ -84,12 +84,27 @@ class FourierCoeffTable:
         Python floats and returns a float.  An array keeps its shape and
         runs one in-place loop with s folded into the coefficients: where
         s = -1, (-1)^k d_k and (-1)^k b_k obey the s = +1 recurrence with
-        c'_k = (-1)^k c_k and lam' = -lam = -4 cos^2(psi/2).  Negation is
-        exact, rounding to nearest is symmetric, and every sum keeps the
-        operand order (c + lam b) + d, so the output is bit for bit that of
-        the recurrence in s.  A psi that is not finite raises ValueError.
+        c'_k = (-1)^k c_k and lam' = -lam = -4 cos^2(psi/2).  The loop
+        runs on the points sorted by sign, s = +1 first, so an odd step
+        adds c_k to the first slice and subtracts it from the second; the
+        result is scattered back to psi's order.  Negation is exact, a - c
+        is a + (-c), rounding to nearest is symmetric, and every sum keeps
+        the operand order (c + lam b) + d, so the output is bit for bit
+        that of the recurrence in s.  A psi that is not finite, or is
+        complex, raises ValueError.
+
+        The grid's set-up (the sign sort and lam') depends on psi alone, so
+        the last grid's is held for the process and a repeated grid skips
+        it: the key is the grid's shape and bytes, not the array object,
+        so a grid changed in place is set up again.  The held arrays are
+        read-only and the entry is replaced whole, so a thread sees the old
+        entry or the new one.  Only grids of at most _HELD_GRID_POINTS
+        (2^16) points are held, about 24 bytes a point.
         """
-        psi_arr = np.asarray(psi, dtype=float)
+        psi_arr = np.asarray(psi)
+        if psi_arr.dtype.kind == "c":
+            raise ValueError("reconstruct needs a real psi")
+        psi_arr = psi_arr.astype(float, copy=False)
         if not np.isfinite(psi_arr).all():
             raise ValueError("reconstruct needs a finite psi")
         if psi_arr.ndim == 0:
@@ -102,17 +117,56 @@ class FourierCoeffTable:
                 d = c + lam * b + s * d
                 b = d + s * b
             return float(self.coeffs[0] + 0.5 * lam * b + s * d)
-        s = np.copysign(1.0, np.cos(psi_arr))
-        half = 0.5 * psi_arr
-        # 0.0 - ... keeps lam' = +0 at psi = 0, as lam is
-        lam = 0.0 - 4.0 * np.where(s < 0.0, np.cos(half) ** 2, np.sin(half) ** 2)
-        b, d, t, u = (np.zeros_like(lam) for _ in range(4))
+        order, m, lam = _azimuth_terms(psi_arr)
+        b, d, t = (np.zeros_like(lam) for _ in range(3))
+        plus, minus = t[:m], t[m:]
         for k in range(self.nmax, 0, -1):
+            c = self.coeffs[k]
             np.multiply(lam, b, out=t)
-            t += np.multiply(s, self.coeffs[k], out=u) if k % 2 else self.coeffs[k]
+            if k % 2:
+                plus += c
+                minus -= c
+            else:
+                t += c
             d += t
             b += d
-        return self.coeffs[0] + 0.5 * lam * b + d
+        out = np.empty_like(lam)
+        out[order] = self.coeffs[0] + 0.5 * lam * b + d
+        return out.reshape(psi_arr.shape)
+
+
+# grids of at most this many points have their set-up held, about 24 bytes a
+# point: the key's copy of psi, the sort order and lam'
+_HELD_GRID_POINTS = 2**16
+_held_grid = (None, None)  # ((shape, psi bytes), (order, m, lam')) of the last grid held
+
+
+def _azimuth_terms(psi_arr):
+    """(order, m, lam') of an array psi: order lists its flat indices with
+    s = +1 first, each sign in index order, m points have s = +1, and lam'
+    is in that order.  The last grid of at most _HELD_GRID_POINTS points is
+    held (see FourierCoeffTable.reconstruct)."""
+    global _held_grid
+    key = None
+    if psi_arr.size <= _HELD_GRID_POINTS:
+        key = (psi_arr.shape, psi_arr.tobytes())
+        held_key, held_terms = _held_grid
+        if held_key == key:
+            return held_terms
+    s = np.copysign(1.0, np.cos(psi_arr))
+    half = 0.5 * psi_arr
+    # 0.0 - ... keeps lam' = +0 at psi = 0, as lam is
+    lam = 0.0 - 4.0 * np.where(s < 0.0, np.cos(half) ** 2, np.sin(half) ** 2)
+    positive = (s > 0.0).ravel()
+    first = np.flatnonzero(positive)
+    order = np.concatenate((first, np.flatnonzero(~positive)))
+    lam = lam.ravel()[order]
+    for a in (order, lam):
+        a.setflags(write=False)
+    terms = (order, first.size, lam)
+    if key is not None:
+        _held_grid = (key, terms)
+    return terms
 
 
 def default_nmax(p: int, eta: float, tail_tol: float = 1e-10) -> int:

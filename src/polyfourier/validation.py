@@ -35,11 +35,11 @@ has exited when the suite returns or raises.
 The quadrature oracle compares series coefficients against
 (eps_n / 2 pi) * integral of f(psi) cos(n psi) by the trapezoid rule, which
 is a DFT: one rfft per level of m nodes, doubling from 64 to 2^20, gives
-every n at once, each only where m > 2n (coarser grids alias n to n mod m),
-so an n >= 2^19, which no grid estimates, is refused.  An n stops
-once its estimate moves by at most 1e-12 * max(1, max|f|), the spectral-
-accuracy floor of double precision: for large kernels an absolute 1e-12
-target is unreachable by any quadrature.
+every n at once, each only where m > 2n (coarser grids alias n to n mod m).
+An n stops once its estimate moves by at most 1e-12 * max(1, max|f|), the
+spectral-accuracy floor of double precision (for large kernels an absolute
+1e-12 target is unreachable by any quadrature), so it needs two such grids
+up to the cap, and an n >= 2^18 is refused.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ from .series_limit import (
     _inverse_coefficient,
     _log_band_coefficient,
     _log_tail_coefficient,
+    inverse_power_series,
     log_series_limit,
+    power_series,
 )
 
 __all__ = [
@@ -246,17 +248,20 @@ def quad_fourier_coeffs(kernel: str, param: int, chi: float, ns) -> list[float]:
     """quad_fourier_coeff for each n in ns, from one trapezoid run: each n
     gets the value, and the bits, of its own one-n call.
 
-    Raises ValueError for an n that no grid can estimate: an n is estimated
-    only on grids of more than 2n nodes, and the cap is 2^20, so n < 2^19.
+    Raises ValueError for an n that fewer than two grids can estimate: an n
+    is estimated only on grids of more than 2n nodes, the stopping rule
+    compares two successive estimates, and the cap is 2^20 nodes, so
+    n < 2^18.
     """
     ns = list(ns)
     if not (chi > 1.0 and math.isfinite(chi)):
         raise ValueError("quad_fourier_coeff needs a finite chi > 1")
     if any(n < 0 for n in ns):
         raise ValueError("quad_fourier_coeff needs n >= 0")
-    if any(2 * n >= _MAX_NODES for n in ns):
-        raise ValueError("quad_fourier_coeff needs n < 2^19: an n is estimated only on "
-                         "grids of more than 2n nodes, and the cap is 2^20 nodes")
+    if any(4 * n >= _MAX_NODES for n in ns):
+        raise ValueError("quad_fourier_coeff needs n < 2^18: an n is estimated only on "
+                         "grids of more than 2n nodes, and its stopping rule compares "
+                         "two such grids, up to the cap of 2^20 nodes")
     if kernel == "inverse_power" and param < 1:
         raise ValueError("inverse_power needs q >= 1")
     if kernel in ("power", "log") and param < 0:
@@ -269,8 +274,8 @@ def quad_fourier_coeff(kernel: str, param: int, chi: float, n: int) -> float:
     periodic trapezoid rule with node doubling (see the module docstring).
 
     Raises ConvergenceError if the node cap is reached before two successive
-    levels agree to 1e-12 * max(1, max|f|), and ValueError for n >= 2^19,
-    which no grid below the cap can estimate.
+    levels agree to 1e-12 * max(1, max|f|), and ValueError for n >= 2^18,
+    which fewer than two grids up to the cap can estimate.
     """
     return quad_fourier_coeffs(kernel, param, chi, (n,))[0]
 
@@ -423,7 +428,9 @@ def verify_axisym_dual(
     """Agreement of the two closed forms of the axisymmetric coefficient:
     axisym_component, the n = 0 entry of the limit-route li_expansion,
     against the same entry of the algebraic-route li_expansion, both with
-    N = p+1."""
+    N = p+1.  Both read their log and power tables through kernel_table,
+    so in a process that already holds those tables they are the held ones,
+    not tables built afresh from the closed forms."""
     lhs = axisym_component(params, geom)
     rhs = li_expansion(params, geom, params.p + 1, "algebraic").coeffs[0]
     return _report("axisym_dual", params.p, 0, geom.eta, lhs, rhs, tol, floor)
@@ -453,13 +460,13 @@ def _float_rows(pmax, etas, nmax, tol, floor) -> list[ValidationReport]:
         otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
         for p in range(0, min(pmax, 5) + 1):
             power = _trapezoid("power", p, chi, range(p + 1))
-            reports.extend(_oracle_rows(kernel_table("power", p, chi), power, otol, floor))
+            reports.extend(_oracle_rows(power_series(p, chi), power, otol, floor))
             log = _trapezoid("log", p, chi, range(top + 1))
             for table in routes[eta, p]:
                 reports.extend(_oracle_rows(table, log, otol, floor))
         for q in range(1, min(pmax, 5) + 1):
             inverse = _trapezoid("inverse_power", q, chi, range(top + 1))
-            table = kernel_table("inverse_power", q, chi, top)
+            table = inverse_power_series(q, chi, top)
             reports.extend(_oracle_rows(table, inverse, otol, floor))
     for eta in etas:
         if eta < 0.4:

@@ -190,7 +190,7 @@ def test_coeffs_oracle_refuses_an_n_no_grid_estimates(capsys):
     code, out, err = run_cli(capsys, "coeffs", "--kernel", "log", "--p", "0",
                              "--chi", "2.0", "--nmax", "600000", "--method", "oracle")
     assert code == 2 and out == ""
-    assert "n < 2^19" in err and "2n nodes" in err
+    assert "n < 2^18" in err and "2n nodes" in err
 
 
 def test_coeffs_oracle_does_not_alias_high_modes(capsys):

@@ -1,13 +1,16 @@
 """Coefficient-table container semantics."""
 
 import math
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
 
 from polyfourier import ConvergenceError, FourierCoeffTable, default_nmax, log_series_limit
+from polyfourier import tables
 
 
 def make(kernel="log", method="limit", coeffs=(1.0, -0.5, 0.25)):
@@ -169,6 +172,96 @@ def test_reconstruct_refuses_non_finite_psi(psi):
     # inf used to give nan with a RuntimeWarning and nan a silent nan
     with pytest.raises(ValueError):
         make().reconstruct(psi)
+
+
+@pytest.mark.parametrize("psi", [1 + 2j, np.complex128(1.0), np.array([1 + 2j]), [0.5, 1j]])
+def test_reconstruct_refuses_complex_psi(psi):
+    # the imaginary part used to be dropped with a ComplexWarning
+    with pytest.raises(ValueError, match="real psi"):
+        make().reconstruct(psi)
+
+
+@pytest.fixture
+def no_held_grid(monkeypatch):
+    """Start from no held grid, and restore the held one afterwards."""
+    monkeypatch.setattr(tables, "_held_grid", (None, None))
+
+
+def assert_reinsch_bits(table, psi):
+    got, want = table.reconstruct(psi), reinsch_reference(table.coeffs, psi)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+GRID = np.random.default_rng(19).uniform(-7.0, 7.0, 4096)
+TABLE = log_series_limit(3, math.cosh(0.4), 60)
+
+
+def test_a_repeated_grid_reuses_its_held_set_up(no_held_grid):
+    psi = GRID.copy()
+    assert_reinsch_bits(TABLE, psi)
+    key, terms = tables._held_grid
+    assert key == (psi.shape, psi.tobytes())
+    order, m, lam = terms
+    assert not order.flags.writeable and not lam.flags.writeable
+    assert m == np.count_nonzero(np.cos(psi) >= 0.0)
+    assert_reinsch_bits(TABLE, psi)
+    assert tables._held_grid[1] is terms  # not set up again
+    assert_reinsch_bits(make(coeffs=(0.5, -1.25)), psi.copy())  # equal bytes hit too
+    assert tables._held_grid[1] is terms
+
+
+def test_a_grid_changed_in_place_is_set_up_again(no_held_grid):
+    psi = GRID.copy()
+    TABLE.reconstruct(psi)
+    psi[::7] = np.pi - psi[::7]  # flips the sign of cos psi there
+    assert_reinsch_bits(TABLE, psi)
+    assert tables._held_grid[0] == (psi.shape, psi.tobytes())
+
+
+def test_the_same_bytes_in_another_shape(no_held_grid):
+    assert_reinsch_bits(TABLE, GRID)
+    for shape in ((64, 64), (2, 8, 256), (4096, 1)):
+        assert_reinsch_bits(TABLE, GRID.reshape(shape))
+        assert tables._held_grid[0][0] == shape
+    assert_reinsch_bits(TABLE, GRID.reshape(64, 64).T)  # a strided view
+
+
+def test_a_grid_over_the_cap_is_not_held(no_held_grid):
+    assert_reinsch_bits(TABLE, GRID)
+    held = tables._held_grid
+    big = np.linspace(-7.0, 7.0, tables._HELD_GRID_POINTS + 1)
+    assert_reinsch_bits(make(), big)
+    assert tables._held_grid is held
+    at_cap = big[:tables._HELD_GRID_POINTS]
+    assert_reinsch_bits(make(), at_cap)
+    assert tables._held_grid[0] == (at_cap.shape, at_cap.tobytes())
+
+
+def test_empty_and_2d_grids(no_held_grid):
+    for psi in (np.empty(0), np.empty((0, 3)), np.empty((2, 0)), GRID[:35].reshape(7, 5)):
+        for table in (TABLE, make(coeffs=(0.75,))):
+            assert_reinsch_bits(table, psi)
+            assert_reinsch_bits(table, psi)  # once set up, once held
+
+
+def test_threads_alternating_two_grids_get_their_own_bits(no_held_grid):
+    # each switch replaces the held grid, and a thread reads the old entry
+    # or the new one whole, never one grid's key with the other's set-up
+    grids = (GRID, 0.3e-3 + np.arange(4096) * (2 * math.pi / 4096))
+    want = [reinsch_reference(TABLE.coeffs, psi).tobytes() for psi in grids]
+
+    def wrong_results(first):
+        return [i for i in range(60)
+                if TABLE.reconstruct(grids[(first + i) % 2]).tobytes() != want[(first + i) % 2]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(wrong_results, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[]] * 4
 
 def test_default_nmax_honors_band_minimum():
     # even with a loose tolerance the cut never intrudes into the band

@@ -101,15 +101,16 @@ def test_one_trapezoid_call_gives_each_n_its_own_bits(kernel, param, eta):
 
 
 def test_oracle_refuses_an_n_no_grid_can_estimate():
-    # an n is estimated only on grids of more than 2n nodes; the cap is 2^20
-    for n in (600000, 2**19):
-        with pytest.raises(ValueError, match=r"n < 2\^19.*2n nodes"):
+    # an n is estimated only on grids of more than 2n nodes, its stopping
+    # rule compares two of them, and the cap is 2^20
+    for n in (600000, 2**19, 2**19 - 1, 2**18):
+        with pytest.raises(ValueError, match=r"n < 2\^18.*2n nodes.*two such grids"):
             quad_fourier_coeff("log", 0, 2.0, n)
-    with pytest.raises(ValueError, match=r"n < 2\^19"):
-        validation.quad_fourier_coeffs("power", 1, 2.0, [0, 2**19])
-    # the largest n left has one grid, 2^20 nodes, and so no second estimate
-    with pytest.raises(ConvergenceError, match=r"2\^20 nodes"):
-        quad_fourier_coeff("power", 1, 2.0, 2**19 - 1)
+    with pytest.raises(ValueError, match=r"n < 2\^18"):
+        validation.quad_fourier_coeffs("power", 1, 2.0, [0, 2**18])
+    # 2^19 - 1 has one grid, 2^20 nodes, and used to raise ConvergenceError
+    # after sampling it; the largest n left has two, 2^19 and 2^20 nodes
+    assert abs(quad_fourier_coeff("power", 1, 2.0, 2**18 - 1)) < 1e-12
 
 
 def test_many_n_oracle_call_checks_its_inputs_and_keeps_the_bits():
@@ -291,6 +292,19 @@ def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
     assert builds == Counter(tables * 2)
     oracle = [r.identity.startswith("oracle_") for r in reports]
     assert any(oracle) and [r.passed for r in reports] == [not o for o in oracle]
+
+
+def test_float_rows_check_fresh_oracle_tables(monkeypatch):
+    # kernel_table's held table used to stand in for the patched closed
+    # form, and 0 of these 9 rows failed
+    chi = math.cosh(0.5)
+    polyfourier.greens.kernel_table("inverse_power", 1, chi, 8)
+    real = series_limit._inverse_coefficient
+    monkeypatch.setattr(series_limit, "_inverse_coefficient",
+                        lambda pt, q, n: real(pt, q, n) + 1e-6)
+    rows = [r for r in validation._float_rows(1, (0.5,), 8, 1e-9, 1e-12)
+            if r.identity == "oracle_inverse_power"]
+    assert len(rows) == 9 and not any(r.passed for r in rows)
 
 
 EXACT_CHECKS = {
