@@ -17,6 +17,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import in_float_range
@@ -260,10 +261,9 @@ def li_expansion(
     except OverflowError:
         raise ValueError("li_expansion: (2RR')^p overflows double precision") from None
     w = 0.5 * math.log(two_rr) - float(beta_pd(p, params.d))
-    coeffs = []
-    for n, g in enumerate(gtab.coeffs):
-        f = ftab.coeffs[n] if n <= p else 0.0
-        coeffs.append(scale * (w * f + 0.5 * g))
+    # f_n = 0 past n = p; the log table is always the longer one (n >= p+1)
+    coeffs = [scale * (w * f + 0.5 * g)
+              for f, g in zip_longest(ftab.coeffs, gtab.coeffs, fillvalue=0.0)]
     return FourierCoeffTable("li", p, chi, gtab.eta, gtab.method, tuple(coeffs))
 
 

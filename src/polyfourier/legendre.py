@@ -61,6 +61,14 @@ __all__ = [
 ]
 
 
+def _nearest_float(c) -> float:
+    """The int or Fraction c rounded to the nearest float by one integer true
+    division, correctly rounded: the operation float(Fraction) performs
+    (numbers.Rational.__float__), so the same bits and the same
+    OverflowError, without its ABC dispatch and two int() calls."""
+    return c.numerator / c.denominator
+
+
 @dataclass(frozen=True)
 class LegendreArg:
     """Float evaluation point z = coth(eta) > 1, holding eta and u = z - 1.
@@ -69,6 +77,8 @@ class LegendreArg:
     u.  from_eta sets u = 2/expm1(2 eta), or 2 e^{-2 eta}/(-expm1(-2 eta))
     past eta ~ 354.9, where expm1(2 eta) overflows; from_z keeps u = z - 1
     exact, which those sums need near z = 1, and sets eta = log1p(2/u)/2.
+    weight rounds each exact weight (an int or a Fraction) once, by
+    _nearest_float; total is math.fsum.
     """
 
     eta: float
@@ -90,7 +100,7 @@ class LegendreArg:
         u = z - 1.0
         return cls(0.5 * math.log1p(2.0 / u), u)
 
-    weight = staticmethod(float)
+    weight = staticmethod(_nearest_float)
     total = staticmethod(math.fsum)
 
     def exp(self, k: int) -> float:
@@ -107,10 +117,11 @@ class LegendreArg:
 
         Its values are not cheap: the algebraic route forms every
         e^{k eta} R_p^k(cosh eta) of scaled_logpoly again for each n, which
-        is most of a default log table's build (85% of a cProfile of 400
-        ring-pair tables).  A memo stays out while the benchmark's tracer
-        counts logpoly evaluations per call and its tests assert those
-        counts; the limit route needs no R_p^k at all."""
+        is most of a default log table's build (79% of a cProfile of 400
+        ring-pair tables, each cast one integer division).  A memo stays
+        out while the benchmark's tracer counts logpoly evaluations per call
+        and its tests assert those counts; the limit route needs no R_p^k
+        at all."""
         return fn(self, *args)
 
     def scaled_logpoly(self, p: int, k: int) -> float:

@@ -203,6 +203,7 @@ def test_a_repeated_grid_reuses_its_held_set_up(no_held_grid):
     assert key == (psi.shape, psi.tobytes())
     order, m, lam = terms
     assert not order.flags.writeable and not lam.flags.writeable
+    assert lam.ctypes.data % 64 == 0  # the loop's vector passes read lam' aligned
     assert m == np.count_nonzero(np.cos(psi) >= 0.0)
     assert_reinsch_bits(TABLE, psi)
     assert tables._held_grid[1] is terms  # not set up again
