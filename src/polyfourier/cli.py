@@ -65,12 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--method", choices=("algebraic", "limit"))
     gr.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    va = sub.add_parser("validate", help="identity / cross-route / oracle reports")
-    va.add_argument("--pmax", type=int, default=10)
-    va.add_argument("--etas", default="0.2,0.5,1,2,5")
-    va.add_argument("--nmax", type=int, default=50)
-    va.add_argument("--tol", type=float, default=1e-9)
-    va.add_argument("--floor", type=float, default=1e-12)
+    # an omitted grid flag is left out of args: run_validation_suite's default applies
+    va = sub.add_parser("validate", help="identity / cross-route / oracle reports",
+                        argument_default=argparse.SUPPRESS)
+    va.add_argument("--pmax", type=int)
+    va.add_argument("--etas")
+    va.add_argument("--nmax", type=int)
     va.add_argument("--format", choices=("csv", "json"), default="csv")
     return top
 
@@ -228,14 +228,10 @@ def _cmd_greens(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    etas = tuple(float(v) for v in args.etas.split(","))
-    reports = run_validation_suite(
-        pmax=args.pmax,
-        etas=etas,
-        nmax=args.nmax,
-        tol=args.tol,
-        floor=args.floor,
-    )
+    grid = {name: getattr(args, name) for name in ("pmax", "etas", "nmax") if name in args}
+    if "etas" in grid:
+        grid["etas"] = tuple(float(v) for v in grid["etas"].split(","))
+    reports = run_validation_suite(**grid)
     failures = sum(not r.passed for r in reports)
     # one row per write: a single 640 KB write to a pipe lost its tail, with
     # no error, when a signal handler ran during it

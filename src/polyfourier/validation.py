@@ -16,6 +16,11 @@ Double precision could not do this -- at p = 10, eta = 5, n = 50 the left
 side cancels through ~13 digits.  So the exact checks take no tolerance:
 their reports carry tol = floor = 0 and pass on equality alone.
 
+A float check passes when its relative error is at most its family's
+tolerance or its absolute error at most _FLOOR, the oracle's scaled by
+max(1, max|f|).  The rule is part of what the check means, so no caller
+sets it: each value is one named constant, where the comparisons start.
+
 run_validation_suite proves each (family, p, n) once per call and builds
 every eta's row from it, evaluated at t = Fraction(e^eta), formed once per
 eta, by Horner's rule in integers and one int/int division, as float() of
@@ -377,54 +382,50 @@ def verify_re_closed_form(p: int, n: int, eta: float) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # float-route comparisons
 
+_FLOOR = 1e-12
+_CROSS_ROUTE_TOL = 1e-9
+_ORACLE_TOL = 1e-8
+_ORACLE_TOL_SMALL_ETA = 1e-6  # the suite's oracle rows below eta = 0.5
+_DUAL_TOL = 1e-10
 
-def _cross_route_rows(alg, lim, tol, floor) -> list[ValidationReport]:
+
+def _cross_route_rows(alg, lim) -> list[ValidationReport]:
     return [
-        _report("cross_route", alg.param, n, alg.eta, a, b, tol, floor)
+        _report("cross_route", alg.param, n, alg.eta, a, b, _CROSS_ROUTE_TOL, _FLOOR)
         for n, (a, b) in enumerate(zip(alg.coeffs, lim.coeffs))
     ]
 
 
-def compare_log_routes(
-    p: int, chi: float, nmax: int, tol: float = 1e-9, floor: float = 1e-12
-) -> list[ValidationReport]:
+def compare_log_routes(p: int, chi: float, nmax: int) -> list[ValidationReport]:
     """Coefficient-by-coefficient comparison of the two log-kernel routes."""
     alg = log_series_algebraic(p, chi, nmax)
     lim = log_series_limit(p, chi, nmax)
-    return _cross_route_rows(alg, lim, tol, floor)
+    return _cross_route_rows(alg, lim)
 
 
-def _oracle_rows(table, ref, tol, floor) -> list[ValidationReport]:
+def _oracle_rows(table, ref, tol) -> list[ValidationReport]:
     """table's entries n < len(ref) against the oracle's values ref[n]."""
     kernel, param, chi = table.kernel, table.param, table.chi
-    scaled_floor = floor * kernel_scale(kernel, param, chi)
+    scaled_floor = _FLOOR * kernel_scale(kernel, param, chi)
     name = f"oracle_{kernel}" + (f"_{table.method}" if kernel == "log" else "")
     return [_report(name, param, n, table.eta, table.coeffs[n], r, tol, scaled_floor)
             for n, r in enumerate(ref)]
 
 
 def oracle_reports(
-    kernel: str,
-    param: int,
-    chi: float,
-    nmax: int,
-    method: str = "closed_form",
-    tol: float = 1e-8,
-    floor: float = 1e-12,
+    kernel: str, param: int, chi: float, nmax: int, method: str = "closed_form"
 ) -> list[ValidationReport]:
-    """Series coefficients against the quadrature oracle.
+    """Series coefficients against the quadrature oracle, to _ORACLE_TOL.
 
     The absolute floor is scaled by max(1, max|f|): below that level the
     oracle itself carries only noise (spectral floor of float64).
     """
     table = kernel_table(kernel, param, chi, nmax, method)
     ref = _trapezoid(kernel, param, chi, range(min(nmax, table.nmax) + 1))
-    return _oracle_rows(table, ref, tol, floor)
+    return _oracle_rows(table, ref, _ORACLE_TOL)
 
 
-def verify_axisym_dual(
-    params: SolutionParams, geom: Geometry, tol: float = 1e-10, floor: float = 1e-12
-) -> ValidationReport:
+def verify_axisym_dual(params: SolutionParams, geom: Geometry) -> ValidationReport:
     """Agreement of the two closed forms of the axisymmetric coefficient:
     axisym_component, the n = 0 entry of the limit-route li_expansion,
     against the same entry of the algebraic-route li_expansion, both with
@@ -433,17 +434,14 @@ def verify_axisym_dual(
     not tables built afresh from the closed forms."""
     lhs = axisym_component(params, geom)
     rhs = li_expansion(params, geom, params.p + 1, "algebraic").coeffs[0]
-    return _report("axisym_dual", params.p, 0, geom.eta, lhs, rhs, tol, floor)
+    return _report("axisym_dual", params.p, 0, geom.eta, lhs, rhs, _DUAL_TOL, _FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # grid driver
 
-_ORACLE_TOL = 1e-8  # relative tolerance of the suite's oracle reports at eta >= 0.5
-_ORACLE_TOL_SMALL_ETA = 1e-6  # and below eta = 0.5
 
-
-def _float_rows(pmax, etas, nmax, tol, floor) -> list[ValidationReport]:
+def _float_rows(pmax, etas, nmax) -> list[ValidationReport]:
     """run_validation_suite's float rows, in its order: cross-route, oracle,
     dual form.  Runs in the suite's worker process."""
     reports = []
@@ -453,21 +451,21 @@ def _float_rows(pmax, etas, nmax, tol, floor) -> list[ValidationReport]:
         for p in range(0, pmax + 1):
             alg, lim = routes[eta, p] = (log_series_algebraic(p, chi, nmax),
                                          log_series_limit(p, chi, nmax))
-            reports.extend(_cross_route_rows(alg, lim, tol, floor))
+            reports.extend(_cross_route_rows(alg, lim))
     top = min(nmax, 40)
     for eta in etas:
         chi = math.cosh(eta)
         otol = _ORACLE_TOL if eta >= 0.5 else _ORACLE_TOL_SMALL_ETA
         for p in range(0, min(pmax, 5) + 1):
             power = _trapezoid("power", p, chi, range(p + 1))
-            reports.extend(_oracle_rows(power_series(p, chi), power, otol, floor))
+            reports.extend(_oracle_rows(power_series(p, chi), power, otol))
             log = _trapezoid("log", p, chi, range(top + 1))
             for table in routes[eta, p]:
-                reports.extend(_oracle_rows(table, log, otol, floor))
+                reports.extend(_oracle_rows(table, log, otol))
         for q in range(1, min(pmax, 5) + 1):
             inverse = _trapezoid("inverse_power", q, chi, range(top + 1))
             table = inverse_power_series(q, chi, top)
-            reports.extend(_oracle_rows(table, inverse, otol, floor))
+            reports.extend(_oracle_rows(table, inverse, otol))
     for eta in etas:
         if eta < 0.4:
             continue
@@ -476,7 +474,7 @@ def _float_rows(pmax, etas, nmax, tol, floor) -> list[ValidationReport]:
                 R=1.3 * math.exp(eta / 2.0), Rprime=1.3 * math.exp(-eta / 2.0), perp_sq=0.0
             )
             params = SolutionParams(d=2, k=p + 1)
-            reports.append(verify_axisym_dual(params, geom, 1e-10, floor))
+            reports.append(verify_axisym_dual(params, geom))
     return reports
 
 
@@ -484,15 +482,14 @@ def run_validation_suite(
     pmax: int = 10,
     etas: tuple[float, ...] = (0.2, 0.5, 1.0, 2.0, 5.0),
     nmax: int = 50,
-    tol: float = 1e-9,
-    floor: float = 1e-12,
 ) -> list[ValidationReport]:
     """Identity suite + cross-route + oracle + dual-form reports on a grid:
     the exact identity rows, then the float rows.
 
-    tol and floor govern the float comparisons only: tol the cross-route
-    rows, floor those and the oracle and dual-form rows.  The exact identity
-    rows pass on equality alone.  Each eta needs e^eta finite and cosh(eta) > 1.
+    The exact identity rows pass on equality alone, the float rows by their
+    family's fixed rule (see the module docstring).  etas needs at least one
+    eta, and each eta needs e^eta finite and cosh(eta) > 1.  These defaults
+    are `polyfourier validate`'s.
 
     The two halves run at the same time: one worker process, started at the
     platform's default start method, builds the float rows while the caller
@@ -501,8 +498,8 @@ def run_validation_suite(
     raises."""
     if pmax < 0 or nmax < pmax + 1:
         raise ValueError("run_validation_suite needs pmax >= 0 and nmax >= pmax + 1")
-    if not (0.0 <= tol < math.inf and 0.0 <= floor < math.inf):
-        raise ValueError("run_validation_suite needs a finite tol >= 0 and floor >= 0")
+    if len(etas) == 0:
+        raise ValueError("run_validation_suite needs etas: at least one")
     ts = [_exact_t(eta, "run_validation_suite needs etas") for eta in etas]
     keys = [key for p in range(1, pmax + 1)
             for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
@@ -513,7 +510,7 @@ def run_validation_suite(
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=1) as pool:
-        float_rows = pool.submit(_float_rows, pmax, etas, nmax, tol, floor)
+        float_rows = pool.submit(_float_rows, pmax, etas, nmax)
         proofs = [_prove(*key) for key in keys]  # each identity once, for every eta
         reports = [_exact_row(*key, eta, t, proof)
                    for eta, t in zip(etas, ts) for key, proof in zip(keys, proofs)]

@@ -135,6 +135,33 @@ def test_the_oracle_has_no_knobs(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_the_float_checks_have_no_tolerance_knobs(capsys):
+    # each float family's pass rule is a named constant in validation
+    from polyfourier import validation
+
+    for fn in (validation.compare_log_routes, validation.oracle_reports,
+               validation.verify_axisym_dual, validation.run_validation_suite):
+        assert not {"tol", "floor"} & set(inspect.signature(fn).parameters), fn.__name__
+    for flag, value in (("--tol", "1e-9"), ("--floor", "1e-12")):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_validate_forwards_only_the_grid_flags_given(monkeypatch, capsys):
+    # the grid's defaults live in run_validation_suite's signature alone
+    from polyfourier import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_validation_suite", lambda **grid: calls.append(grid) or [])
+    assert main(["validate"]) == 0
+    assert main(["validate", "--pmax", "2"]) == 0
+    assert main(["validate", "--etas", "0.5,1", "--nmax", "8", "--format", "json"]) == 0
+    assert calls == [{}, {"pmax": 2}, {"etas": (0.5, 1.0), "nmax": 8}]
+    capsys.readouterr()
+
+
 def test_series_tables_are_built_in_one_pipeline():
     # eta, the truncation order and the table record are formed in
     # series_limit._table alone; every route calls it

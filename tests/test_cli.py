@@ -353,13 +353,6 @@ def test_validate_usage_guard(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "inf"), ("--floor", "nan")])
-def test_validate_refuses_a_bad_tolerance(capsys, flag, value):
-    code, out, err = run_cli(capsys, "validate", "--pmax", "1", "--etas", "0.5",
-                             "--nmax", "4", flag, value)
-    assert code == 2 and out == "" and err.startswith("error: ")
-
-
 @pytest.mark.parametrize("eta", ["-1", "0", "nan", "inf", "800", "1e-9"])
 def test_validate_refuses_a_bad_eta_by_name(capsys, eta):
     # not > 0, not finite, e^eta overflows, or cosh(eta) rounds to 1; the

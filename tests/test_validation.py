@@ -252,7 +252,7 @@ def test_suite_driver_degenerate_grid_keeps_banded_identities_out():
     assert {"tail", "re_closed_form", "cross_route", "axisym_dual"} <= names
 
 
-FLOAT_GRID = dict(pmax=2, etas=(0.5, 1.0), nmax=8, tol=1e-9, floor=1e-12)
+FLOAT_GRID = dict(pmax=2, etas=(0.5, 1.0), nmax=8)
 
 
 def test_suite_builds_each_table_and_quadrature_once(monkeypatch):
@@ -302,7 +302,7 @@ def test_float_rows_check_fresh_oracle_tables(monkeypatch):
     real = series_limit._inverse_coefficient
     monkeypatch.setattr(series_limit, "_inverse_coefficient",
                         lambda pt, q, n: real(pt, q, n) + 1e-6)
-    rows = [r for r in validation._float_rows(1, (0.5,), 8, 1e-9, 1e-12)
+    rows = [r for r in validation._float_rows(1, (0.5,), 8)
             if r.identity == "oracle_inverse_power"]
     assert len(rows) == 9 and not any(r.passed for r in rows)
 
@@ -328,7 +328,7 @@ def test_suite_worker_changes_no_row():
     keys += [(family, p, n) for p in range(4) for n in range(p + 1, 9)
              for family in ("tail", "re_closed_form")]
     exact = [EXACT_CHECKS[family](p, n, eta) for eta in grid["etas"] for family, p, n in keys]
-    want = exact + validation._float_rows(**grid, tol=1e-9, floor=1e-12)
+    want = exact + validation._float_rows(**grid)
     assert [dataclasses.astuple(r) for r in reports] == [dataclasses.astuple(r) for r in want]
 
 
@@ -421,16 +421,55 @@ def test_memo_cannot_hide_a_wrong_closed_form(cold_points, monkeypatch, module, 
     assert not report.passed
 
 
+FLOAT_RULES = ("_FLOOR", "_CROSS_ROUTE_TOL", "_ORACLE_TOL", "_ORACLE_TOL_SMALL_ETA", "_DUAL_TOL")
+
+
 def test_suite_tolerances_never_reach_exact_rows(cold_points, monkeypatch):
-    # a band coefficient off by 1e-30 is far inside tol = floor = 1, yet every
-    # band row fails: the suite's tolerances govern only the float rows
+    # a band coefficient off by 1e-30 is far inside tolerances and floor of
+    # 1, yet every band row fails: the float families' rules govern only the
+    # float rows (the worker is forked, so it reads the patched constants)
+    for name in FLOAT_RULES:
+        monkeypatch.setattr(validation, name, 1.0)
     monkeypatch.setattr(
         validation, "_log_band_coefficient", _off_by_tiny(validation._log_band_coefficient)
     )
-    reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6, tol=1.0, floor=1.0)
+    reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6)
     assert {"n0", "mid", "np"} <= {r.identity for r in reports}
     for r in reports:
         assert r.passed == (r.identity not in ("n0", "mid", "np")), r
+        assert r.tol == (0.0 if r.identity in EXACT_FAMILIES else 1.0), r
+
+
+def _rule(r):
+    """(tol, floor) of a float row, an oracle row's floor over its kernel scale."""
+    if not r.identity.startswith("oracle_"):
+        return r.tol, r.floor
+    kernel = r.identity.removeprefix("oracle_").removesuffix("_algebraic").removesuffix("_limit")
+    return r.tol, r.floor / kernel_scale(kernel, r.p, math.cosh(r.eta))
+
+
+def test_each_float_family_keeps_its_rule():
+    # the suite's oracle rows allow 1e-6 below eta = 0.5, oracle_reports
+    # 1e-8 at every eta
+    tols = {"cross_route": 1e-9, "axisym_dual": 1e-10}
+    suite = validation._float_rows(1, (0.2, 1.0), 4)
+    assert {r.identity for r in suite} == {
+        "cross_route", "axisym_dual", "oracle_power", "oracle_inverse_power",
+        "oracle_log_algebraic", "oracle_log_limit"}
+    for r in suite:
+        want = tols.get(r.identity, 1e-6 if r.eta < 0.5 else 1e-8)
+        assert _rule(r) == pytest.approx((want, 1e-12), rel=1e-9), r
+    public = compare_log_routes(1, CHI, 4) + oracle_reports("log", 1, math.cosh(0.2), 4, "limit")
+    public.append(verify_axisym_dual(SolutionParams(2, 2), Geometry(1.7, 0.6, 0.4)))
+    for r in public:
+        assert _rule(r) == pytest.approx((tols.get(r.identity, 1e-8), 1e-12), rel=1e-9), r
+
+
+def test_suite_refuses_an_empty_eta_grid(monkeypatch):
+    # "0 checks, 0 failures" would pass a check of nothing
+    monkeypatch.setattr(validation, "_prove", None)  # no work starts
+    with pytest.raises(ValueError, match="run_validation_suite needs etas"):
+        run_validation_suite(etas=())
 
 
 EXACT_FAMILIES = ("n0", "mid", "np", "tail", "re_closed_form")
