@@ -18,9 +18,9 @@ from .scalars import beta_pd, eta_from_chi, harmonic
 from .series_algebraic import log_series_algebraic
 from .series_limit import inverse_power_series, log_series_limit, power_series
 from .tables import FourierCoeffTable, default_nmax
-# the verify_* checks and reference constructions stay importable, outside __all__
+# the suite, the oracle, the verify_* checks and the reference constructions
+# stay importable, outside __all__
 from .validation import (
-    ValidationReport,
     legendre_p_nu,
     logpoly_difference_algorithm,
     logpoly_from_genfun,
@@ -41,7 +41,6 @@ __all__ = [
     "Geometry",
     "LogPolynomial",
     "SolutionParams",
-    "ValidationReport",
     "axisym_component",
     "beta_pd",
     "default_nmax",
@@ -59,6 +58,4 @@ __all__ = [
     "log_series_limit",
     "logpoly_recurrence",
     "power_series",
-    "quad_fourier_coeff",
-    "run_validation_suite",
 ]

@@ -92,9 +92,6 @@ class Geometry:
     def psi(self) -> float:
         return self.phi - self.phiprime
 
-    def dist_sq(self) -> float:
-        return 2.0 * self.R * self.Rprime * (self.chi - math.cos(self.psi))
-
 
 @dataclass(frozen=True)
 class SolutionParams:
@@ -126,9 +123,10 @@ class SolutionParams:
         return self.d // 2 - self.k
 
 
-def _dist(x: Sequence[float], xprime: Sequence[float]) -> float:
-    if len(x) != len(xprime):
-        raise ValueError("points need equal dimension")
+def _dist(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
+    """|x - x'| for two distinct finite points of params.d coordinates each."""
+    if not len(x) == len(xprime) == params.d:
+        raise ValueError("point dimension must equal params.d")
     r = math.dist(x, xprime)
     if not math.isfinite(r):
         raise ValueError("points need finite coordinates and a finite distance")
@@ -141,18 +139,15 @@ def _dist(x: Sequence[float], xprime: Sequence[float]) -> float:
 def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Fundamental solution value; logarithmic branch for even d with
     k >= d/2, pure power branch otherwise."""
-    if len(x) != params.d:
-        raise ValueError("point dimension must equal params.d")
     d, k = params.d, params.k
-    r = _dist(x, xprime)
     if params.is_log_regime:
         p = params.p
         sign = (-1) ** (k + d // 2 + 1)
         denom = math.factorial(k - 1) * math.factorial(p) * 2 ** (2 * k - 1) * math.pi ** (d / 2)
-        return sign * r ** (2 * k - d) * (math.log(r) - float(beta_pd(p, d))) / denom
+        return sign * li_direct(params, x, xprime) / denom
     num = math.gamma(d / 2 - k)
     denom = math.factorial(k - 1) * 2 ** (2 * k) * math.pi ** (d / 2)
-    return num * r ** (2 * k - d) / denom
+    return num * _dist(params, x, xprime) ** (2 * k - d) / denom
 
 
 @in_float_range
@@ -160,7 +155,7 @@ def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float
     """Logarithmic radial profile r^{2k-d} (log r - beta_{p,d}); it carries
     the solution's whole r-dependence in the logarithmic regime."""
     p = params.p
-    r = _dist(x, xprime)
+    r = _dist(params, x, xprime)
     return r ** (2 * params.k - params.d) * (math.log(r) - float(beta_pd(p, params.d)))
 
 

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .legendre import LegendreArg, _degree_sums, _legendre, _neg_order_term
-from .scalars import eta_from_chi, harmonic, neumann, pochhammer
+from .scalars import eta_from_chi, harmonic, neumann
 from .tables import FourierCoeffTable, default_nmax
 
 __all__ = [
@@ -67,8 +67,9 @@ def _table(kernel, method, param, chi, coefficient, nmax=None, nmin=0):
 
 
 def _power_weight(p: int, n: int) -> Fraction:
-    """w_n = eps_n (-p)_n (p-n)!/(p+n)!, the exact weight of f_n, 0 <= n <= p."""
-    return Fraction(neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
+    """w_n = eps_n (-p)_n (p-n)!/(p+n)! = eps_n (-1)^n p!/(p+n)!, the exact
+    weight of f_n, 0 <= n <= p."""
+    return Fraction(neumann(n) * (-1) ** n * math.factorial(p), math.factorial(p + n))
 
 
 def _power_coefficient(pt, p: int, n: int):

@@ -173,7 +173,10 @@ def logpoly_from_genfun(p: int, k: int) -> LogPolynomial:
     return LogPolynomial(p, k, tuple(coeffs))
 
 
-def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> float:
+_NU_MAX_TERMS = 10**6  # legendre_p_nu's term cap
+
+
+def legendre_p_nu(nu: float, m: int, z: float) -> float:
     """P_nu^m(z) for real degree nu, integer order m <= 0, z in (1, 3).
 
     Gauss series about z = 1; the term ratio tends to (z-1)/2, so convergence
@@ -188,7 +191,7 @@ def legendre_p_nu(nu: float, m: int, z: float, *, max_terms: int = 10**6) -> flo
     w = (1.0 - z) / 2.0
     term = 1.0
     total = 1.0
-    for j in range(max_terms):
+    for j in range(_NU_MAX_TERMS):
         term *= (j - nu) * (nu + 1 + j) * w / ((j + 1) * (1 + n + j))
         total += term
         if abs(term) <= 1e-17 * abs(total) and j > nu:

@@ -20,13 +20,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
     "ConvergenceError", "FourierCoeffTable", "Geometry", "LogPolynomial",
-    "SolutionParams", "ValidationReport",
+    "SolutionParams",
     "axisym_component", "beta_pd", "default_nmax", "eta_from_chi", "greens_eval",
     "harmonic", "hii_expansion",
     "inverse_power_series", "legendre_deg_deriv", "legendre_p", "li_direct",
     "li_expansion", "li_truncation",
     "log_series_algebraic", "log_series_limit", "logpoly_recurrence", "power_series",
-    "quad_fourier_coeff", "run_validation_suite",
 ]
 
 PRODUCTION = ("scalars", "logpoly", "legendre", "series_algebraic", "series_limit",
@@ -35,7 +34,7 @@ PRODUCTION = ("scalars", "logpoly", "legendre", "series_algebraic", "series_limi
 
 def test_all_is_the_public_api():
     assert sorted(polyfourier.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 25
+    assert len(PUBLIC) == 22
     for name in PUBLIC:
         assert getattr(polyfourier, name) is not None
 
@@ -213,6 +212,25 @@ def test_negative_order_closed_form_is_written_once():
     assert {m: u for m, u in term_users.items() if u} == {
         "legendre": {"_neg_order_term", "_legendre", "legendre_deg_deriv"},
         "series_limit": {"_inverse_coefficient", "_log_tail_coefficient"}}
+
+
+def test_greens_writes_the_log_profile_and_the_point_check_once():
+    # greens_eval's log branch is li_direct times its signed constant, and
+    # _dist is the one check of a point pair
+    fns = _functions(ROOT / "src" / "polyfourier" / "greens.py")
+    spellers = {name: ast.unparse(fn).count("math.log(r) - float(beta_pd(")
+                for name, fn in fns.items()}
+    assert {name: count for name, count in spellers.items() if count} == {"li_direct": 1}
+    measurers = {name for name, fn in fns.items() for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "len"}
+    assert measurers == {"_dist"}
+    assert not hasattr(greens.Geometry, "dist_sq")
+
+
+def test_reference_legendre_series_has_no_term_knob():
+    from polyfourier.validation import legendre_p_nu
+
+    assert list(inspect.signature(legendre_p_nu).parameters) == ["nu", "m", "z"]
 
 
 def test_readme_examples_run():

@@ -29,6 +29,7 @@ from polyfourier.legendre import (
 )
 from polyfourier.scalars import neumann
 from polyfourier.series_limit import _inverse_coefficient, _log_tail_coefficient
+from polyfourier import validation
 from polyfourier.validation import legendre_p_nu
 
 Z_GRID = (1.01, 1.5, 2.0, 5.0, 50.0)
@@ -290,11 +291,12 @@ def test_integer_route_input_guards():
         LegendreArg.from_eta(-1.0)
 
 
-def test_real_degree_series_raises_when_capped():
+def test_real_degree_series_raises_when_capped(monkeypatch):
     # term ratio tends to (z-1)/2, so z near 3 converges far too slowly for a
     # four-term budget
+    monkeypatch.setattr(validation, "_NU_MAX_TERMS", 4)
     with pytest.raises(ConvergenceError):
-        legendre_p_nu(0.5, 0, 2.9, max_terms=4)
+        legendre_p_nu(0.5, 0, 2.9)
     with pytest.raises(ValueError):
         legendre_p_nu(0.5, 0, 3.5)
     with pytest.raises(ValueError):

@@ -23,10 +23,12 @@ from polyfourier import (
     quad_fourier_coeff,
 )
 from polyfourier.legendre import SYMBOLIC, LegendreArg
+from polyfourier.scalars import neumann, pochhammer
 from polyfourier.series_limit import (
     _log_band_coefficient,
     _log_tail_coefficient,
     _power_coefficient,
+    _power_weight,
     power_coefficient,
 )
 
@@ -70,6 +72,15 @@ def test_power_coefficient_matches_series_entry():
             assert power_coefficient(p, n, ETA) == pytest.approx(
                 t.coeffs[n], rel=1e-13, abs=1e-300
             )
+
+
+def test_power_weight_is_the_reduced_pochhammer_form():
+    # (-p)_n (p-n)! = (-1)^n p!, so w_n = eps_n (-p)_n (p-n)!/(p+n)! needs no
+    # Pochhammer symbol
+    for p in range(31):
+        for n in range(p + 1):
+            assert _power_weight(p, n) == Fraction(
+                neumann(n) * pochhammer(-p, n) * math.factorial(p - n), math.factorial(p + n))
 
 
 def test_power_coefficients_sum_exactly_to_the_kernel_at_0_and_pi():
