@@ -123,8 +123,11 @@ class SolutionParams:
         return self.d // 2 - self.k
 
 
-def _dist(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
-    """|x - x'| for two distinct finite points of params.d coordinates each."""
+def _dist(name: str, params: SolutionParams, x: Sequence[float],
+          xprime: Sequence[float]) -> tuple[float, float]:
+    """(r, r^{2k-d}), r = |x - x'|, for two distinct finite points of params.d
+    coordinates each.  A power below 2^-1022, 0 included, is refused as name's
+    underflow: the value it scales would keep too few bits, or none."""
     if not len(x) == len(xprime) == params.d:
         raise ValueError("point dimension must equal params.d")
     r = math.dist(x, xprime)
@@ -132,7 +135,10 @@ def _dist(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -
         raise ValueError("points need finite coordinates and a finite distance")
     if r <= 0.0:
         raise ValueError("points must be distinct")
-    return r
+    power = r ** (2 * params.k - params.d)
+    if power < 2.0**-1022:
+        raise ValueError(f"{name} underflows double precision")
+    return r, power
 
 
 @in_float_range
@@ -147,7 +153,7 @@ def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[flo
         return sign * li_direct(params, x, xprime) / denom
     num = math.gamma(d / 2 - k)
     denom = math.factorial(k - 1) * 2 ** (2 * k) * math.pi ** (d / 2)
-    return num * _dist(params, x, xprime) ** (2 * k - d) / denom
+    return num * _dist("greens_eval", params, x, xprime)[1] / denom
 
 
 @in_float_range
@@ -155,8 +161,8 @@ def li_direct(params: SolutionParams, x: Sequence[float], xprime: Sequence[float
     """Logarithmic radial profile r^{2k-d} (log r - beta_{p,d}); it carries
     the solution's whole r-dependence in the logarithmic regime."""
     p = params.p
-    r = _dist(params, x, xprime)
-    return r ** (2 * params.k - params.d) * (math.log(r) - float(beta_pd(p, params.d)))
+    r, power = _dist("li_direct", params, x, xprime)
+    return power * (math.log(r) - float(beta_pd(p, params.d)))
 
 
 class _TableMemo:

@@ -1,8 +1,9 @@
 """Associated Legendre functions of the first kind on the real axis z > 1,
-for integer degree and any integer order, plus degree-derivatives at integer
-degree, whose two finite degree sums (_degree_sums) the log-kernel band
-coefficient of series_limit shares, weighted by w_n.  The real-degree series
-that checks the degree-derivatives is a reference construction in validation.
+for integer degree and any integer order, and their degree derivative at
+integer degree, written once over an evaluation point in _deg_deriv: each
+limit-route log entry of series_limit is w_n sinh^p(eta) times it, and
+legendre_deg_deriv is it at unit weight.  The real-degree series that
+checks it is a reference construction in validation.
 
 Evaluation strategy (all branches are cancellation-free for z > 1):
 
@@ -14,7 +15,7 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
       P_p^{-n}(z) = ((z-1)/(z+1))^{n/2} / n! * S_{p,n}(z),
       S_{p,n}(z) = sum_{j=0}^{p} [(-p)_j (p+1)_j / (j! (1+n)_j)] ((1-z)/2)^j,
   whose terms are again all positive for z > 1.  _neg_order_term writes it
-  once for P_p^{-n}, the degree derivative past m = p, the log tail and the
+  once for P_p^{-n}, the degree derivative past m = p (the log tail) and the
   inverse power; the float point casts a weight that would not stay normal
   scaled by a power of two.
 
@@ -394,27 +395,32 @@ def _degree_sums(pt, p: int, m: int, w, scale):
     return terms
 
 
+def _deg_deriv(pt, p: int, m: int, c, scale, h: int):
+    """c p!/(p+m)! scale [dP_nu^m/dnu - (log((z+1)/2) + H_h - H_p) P_p^m] at
+    nu = p >= 0, order m >= 0, z = coth eta: rational in t = e^eta, so the
+    symbolic point proves it.  For m <= p it is the digamma head
+    (2 H_{2p} - H_h - H_{p-m}) P_p^m plus the two degree sums; for m >= p+1,
+    where P_p^m = 0, it is (-1)^{p+m+1} (p+m)! (m-p-1)! P_p^{-m}, whose weight
+    c (-1)^{p+m+1} p!/((m-p) ... m) holds no (p+m)!."""
+    f = math.factorial
+    if m > p:
+        w = Fraction(c * (-1) ** (p + m + 1) * f(p), math.prod(range(m - p, m + 1)))
+        return _neg_order_term(pt, p, m, w, scale)
+    w = Fraction(c * f(p), f(p + m))
+    dig = 2 * harmonic(2 * p) - harmonic(h) - harmonic(p - m)
+    head = pt.weight(w * dig) * scale * pt.cached(_legendre, p, m)
+    return pt.total([head, *_degree_sums(pt, p, m, w, scale)])
+
+
 @in_float_range
 def legendre_deg_deriv(p: int, m: int, z: float) -> float:
-    """Derivative of P_nu^m(z) with respect to the degree nu, at nu = p >= 0.
-
-    For 0 <= m <= p the value collapses to Legendre evaluations at integer
-    parameters with rational weights; for m >= p+1 it is a single negative-order
-    evaluation.  All weights are assembled exactly before rounding.
-    """
+    """Derivative of P_nu^m(z) with respect to the degree nu, at nu = p >= 0:
+    _deg_deriv at unit weight, plus log((z+1)/2) P_p^m for m <= p, its log
+    taken as log1p(u/2) from the exact u = z - 1."""
     if p < 0:
         raise ValueError("legendre_deg_deriv needs p >= 0")
     if m < 0:
         raise ValueError("legendre_deg_deriv handles m >= 0 only")
     pt = LegendreArg.from_z(z)
-    if m >= p + 1:
-        # (-1)^{p+m+1} (p+m)! (m-p-1)! P_p^{-m}, with the 1/m! of P_p^{-m} in
-        # the weight, which _neg_order_term folds where its cast leaves the range
-        f = math.factorial
-        w = Fraction((-1) ** (p + m + 1) * f(p + m) * f(m - p - 1), f(m))
-        return _neg_order_term(pt, p, m, w, 1)
-    leg = _legendre(pt, p, m)
-    # 2 psi(2p+1) - psi(p+1) - psi(p-m+1), exact
-    dig = 2 * harmonic(2 * p) - harmonic(p) - harmonic(p - m)
-    out = math.log((z + 1.0) / 2.0) * leg + float(dig) * leg
-    return sum(_degree_sums(pt, p, m, Fraction(1), 1.0), out)
+    out = _deg_deriv(pt, p, m, math.perm(p + m, m), 1.0, p)
+    return out + math.log1p(0.5 * pt.u) * _legendre(pt, p, m) if m <= p else out

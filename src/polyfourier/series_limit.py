@@ -5,23 +5,22 @@ For chi = cosh eta > 1 and psi the azimuth difference:
 * (chi - cos psi)^p       -- a finite series, n = 0..p,
 * (chi - cos psi)^{-q}    -- an infinite series with e^{-n eta} decay,
 * (chi - cos psi)^p log(chi - cos psi) -- obtained from the power series by
-  differentiating with respect to the exponent at the integer p, which turns
-  the Legendre degree/order derivatives into finite combinations of Legendre
-  evaluations at shifted integer parameters plus one explicit tail family.
+  differentiating with respect to the exponent at the integer p.
 
 Every Legendre value is taken at coth eta.  Every route's table, here and in
 series_algebraic, is built by one pipeline, _table: eta and N, one
 evaluation point from eta (see legendre), then coefficient(pt, param, n).
-Every closed form here (power, band, tail and inverse-power coefficient)
-takes that point, so the identity suite proves this same code at the
-symbolic point.  Every rational weight is accumulated as a Fraction and
-rounded once by the point.  The power term (eta - log 2) f_n, which both
-log routes add for n <= p, is written once here, as is f_n's weight w_n =
-eps_n (-p)_n (p-n)!/(p+n)! (_power_weight).  The band coefficient, f_n's
-exponent derivative, weights by w_n its digamma term and the two degree
-sums it shares with legendre_deg_deriv (legendre._degree_sums).  The tail
-(n >= p+1) and inverse-power coefficients are legendre._neg_order_term's
-exact weight times e^{-n eta} and the positive Gauss sum.
+Every closed form here takes that point, so the identity suite proves this
+same code at the symbolic point, and every rational weight is rounded once
+by the point.  f_n = w_n sinh^p(eta) P_p^n(coth eta), w_n = eps_n (-1)^n
+p!/(p+n)! (_power_weight).  Its exponent derivative is w_n sinh^p(eta)
+times the degree derivative of P_nu^n at nu = p, plus
+(log sinh eta + H_p - H_{p+n}) f_n; as log((z+1)/2) = eta - log 2 -
+log sinh eta, that is (eta - log 2) f_n (_log_power_term, which both log
+routes add for n <= p) plus legendre._deg_deriv at c = eps_n (-1)^n and
+h = p+n, one call for the band (n <= p) and the tail alike.  c holds no
+p!/(p+n)!, so no tail entry forms (p+n)!.  The inverse-power coefficient is
+legendre._neg_order_term's exact weight times e^{-n eta} and the Gauss sum.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .legendre import LegendreArg, _degree_sums, _legendre, _neg_order_term
-from .scalars import eta_from_chi, harmonic, neumann
+from .legendre import LegendreArg, _deg_deriv, _legendre, _neg_order_term
+from .scalars import eta_from_chi, neumann
 from .tables import FourierCoeffTable, default_nmax
 
 __all__ = [
@@ -110,37 +109,25 @@ def inverse_power_series(q: int, chi: float, nmax: int | None = None) -> Fourier
     return _table("inverse_power", "closed_form", q, chi, _inverse_coefficient, nmax)
 
 
-def _log_tail_coefficient(pt, p: int, n: int):
-    if n < p + 1:
-        raise ValueError("log_tail_coefficient needs n >= p+1")
-    w = Fraction(2 * (-1) ** (p + 1) * math.factorial(p), math.prod(range(n - p, n + 1)))
-    return _neg_order_term(pt, p, n, w, pt.sinh_pow(p))
+def _log_deriv_coefficient(pt, p: int, n: int):
+    """f_n's exponent derivative less (eta - log 2) f_n, any n >= 0: past
+    n = p, the whole tail entry (see the module docstring)."""
+    return _deg_deriv(pt, p, n, neumann(n) * (-1) ** n, pt.sinh_pow(p), p + n)
 
 
 def log_tail_coefficient(p: int, n: int, eta: float) -> float:
     """Tail entry (n >= p+1) of the log-kernel series:
     2 (-1)^{p+1} p! (n-p-1)! sinh^p(eta) P_p^{-n}(coth eta); the factorial
     ratio and the e^{-n eta} inside P_p^{-n} are folded analytically."""
-    return _log_tail_coefficient(LegendreArg.from_eta(eta), p, n)
-
-
-def _log_band_coefficient(pt, p: int, n: int):
-    """Non-tail entry (0 <= n <= p), without the (eta - log 2) power term:
-    the exponent derivative of f_n, w_n sinh^p(eta) times the degree-digamma
-    block and the two degree sums of legendre_deg_deriv."""
-    sph = pt.sinh_pow(p)
-    w = _power_weight(p, n)
-    # degree-digamma block: 2 psi(2p+1) - psi(p+1+n) - psi(p+1-n), exact
-    dig = 2 * harmonic(2 * p) - harmonic(p + n) - harmonic(p - n)
-    head = pt.weight(w * dig) * sph * pt.cached(_legendre, p, n)
-    return pt.total([head, *_degree_sums(pt, p, n, w, sph)])
+    if n < p + 1:
+        raise ValueError("log_tail_coefficient needs n >= p+1")
+    return _log_deriv_coefficient(LegendreArg.from_eta(eta), p, n)
 
 
 def _log_coefficient(pt, p: int, n: int):
-    """Band entry plus the (eta - log 2) power term for n <= p, tail entry past it."""
-    if n <= p:
-        return _log_power_term(pt, p, n) + _log_band_coefficient(pt, p, n)
-    return _log_tail_coefficient(pt, p, n)
+    """The exponent derivative of f_n, plus the (eta - log 2) power term for n <= p."""
+    deriv = _log_deriv_coefficient(pt, p, n)
+    return _log_power_term(pt, p, n) + deriv if n <= p else deriv
 
 
 def log_series_limit(p: int, chi: float, nmax: int | None = None) -> FourierCoeffTable:

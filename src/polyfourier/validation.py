@@ -7,11 +7,12 @@ series legendre_p_nu that checks legendre_deg_deriv.
 
 The reindexing identities equate the algebraic route's alternating sums of
 e^{k eta} R_p^k(cosh eta) (p_frak, re_frak) with the limit route's Legendre
-closed forms (band and tail coefficients, and the inverse-power coefficient
-at q = p+1).  Both sides are rational functions of t = e^eta, so the suite
-proves them in t: it evaluates the production closed forms themselves at
-the symbolic point (legendre.SYMBOLIC), where each side is a canonical
-RationalT and a true identity is an equality of the two, for every eta > 0.
+closed forms (its degree-derivative entry, band and tail alike, and the
+inverse-power coefficient at q = p+1).  Both sides are rational functions
+of t = e^eta, so the suite proves them in t: it evaluates the production
+closed forms themselves at the symbolic point (legendre.SYMBOLIC), where
+each side is a canonical RationalT and a true identity is an equality of
+the two, for every eta > 0.
 Double precision could not do this -- at p = 10, eta = 5, n = 50 the left
 side cancels through ~13 digits.  So the exact checks take no tolerance:
 their reports carry tol = floor = 0 and pass on equality alone.
@@ -63,8 +64,7 @@ from .scalars import neumann
 from .series_algebraic import _p_frak, _re_frak, log_series_algebraic
 from .series_limit import (
     _inverse_coefficient,
-    _log_band_coefficient,
-    _log_tail_coefficient,
+    _log_deriv_coefficient,
     inverse_power_series,
     log_series_limit,
     power_series,
@@ -309,16 +309,17 @@ def _prove(identity, p, n):
     inverse-power rewrite (see verify_identity_tail), and True elsewhere."""
     pt = SYMBOLIC
     grow = math.prod(range(n - p, n + p + 1))
+    rhs = _log_deriv_coefficient(pt, p, n)
     if identity == "re_closed_form":
-        return _re_frak(pt, n, p), grow * pt.exp(n) * _log_tail_coefficient(pt, p, n), True
+        return _re_frak(pt, n, p), grow * pt.exp(n) * rhs, True
     lhs = _p_frak(pt, n, p)
     if identity != "tail":
-        return lhs, _log_band_coefficient(pt, p, n), True
+        return lhs, rhs, True
     q = p + 1
     rewrite = Fraction((-1) ** q * neumann(n) * grow, 2 * math.factorial(q - 1) ** 2) * (
         lhs / pt.sinh_pow(2 * q - 1)
     )
-    return lhs, _log_tail_coefficient(pt, p, n), rewrite == _inverse_coefficient(pt, q, n)
+    return lhs, rhs, rewrite == _inverse_coefficient(pt, q, n)
 
 
 def _exact_row(identity, p, n, eta, t, proof) -> ValidationReport:

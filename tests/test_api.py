@@ -184,12 +184,14 @@ def test_degree_sums_and_power_weight_are_written_once():
     src = ROOT / "src" / "polyfourier"
     defined = {name for module in src.glob("*.py") for name in _functions(module)}
     assert not {"_degree_sum_same_order", "_degree_sum_neg_order", "_poly_coeffs"} & defined
-    # the degree derivative and the band coefficient share the two degree sums
-    assert set(_names_used(src / "legendre.py", {"_degree_sums"})) == {"legendre_deg_deriv"}
-    assert set(_names_used(src / "series_limit.py", {"_degree_sums"})) == {"_log_band_coefficient"}
+    # the degree derivative, written once in _deg_deriv, holds the two degree
+    # sums and the digamma head; the band and the tail are _deg_deriv calls
+    users = {module.stem: set(_names_used(module, {"_degree_sums", "harmonic"}))
+             for module in src.glob("*.py") if module.stem != "scalars"}
+    assert {m: u for m, u in users.items() if u} == {"legendre": {"_deg_deriv"}}
+    assert not {"_log_band_coefficient", "_log_tail_coefficient"} & defined
     # f_n's weight w_n = eps_n (-p)_n (p-n)!/(p+n)! is spelled in _power_weight alone
-    assert set(_names_used(src / "series_limit.py", {"_power_weight"})) == {
-        "_power_coefficient", "_log_band_coefficient"}
+    assert set(_names_used(src / "series_limit.py", {"_power_weight"})) == {"_power_coefficient"}
     spellers = {name for name, fn in _functions(src / "series_limit.py").items()
                 for node in ast.walk(fn)
                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "Fraction"
@@ -210,8 +212,8 @@ def test_negative_order_closed_form_is_written_once():
     term_users = {module.stem: set(_names_used(module, {"_neg_order_term"}))
                   for module in src.glob("*.py")}
     assert {m: u for m, u in term_users.items() if u} == {
-        "legendre": {"_neg_order_term", "_legendre", "legendre_deg_deriv"},
-        "series_limit": {"_inverse_coefficient", "_log_tail_coefficient"}}
+        "legendre": {"_neg_order_term", "_legendre", "_deg_deriv"},
+        "series_limit": {"_inverse_coefficient"}}
 
 
 def test_greens_writes_the_log_profile_and_the_point_check_once():

@@ -28,7 +28,7 @@ from polyfourier.legendre import (
     taylor_coeffs_at1,
 )
 from polyfourier.scalars import neumann
-from polyfourier.series_limit import _inverse_coefficient, _log_tail_coefficient
+from polyfourier.series_limit import _inverse_coefficient, _log_deriv_coefficient
 from polyfourier import validation
 from polyfourier.validation import legendre_p_nu
 
@@ -238,7 +238,7 @@ def test_one_negative_order_closed_form_keeps_every_bit():
             for n in (p + 1, p + 7, 60):
                 leg, deriv, tail, inv = _inline_neg_order_products(pt, p, n)
                 assert _legendre(pt, p, -n) == leg
-                assert _log_tail_coefficient(pt, p, n) == tail
+                assert _log_deriv_coefficient(pt, p, n) == tail
                 assert _inverse_coefficient(pt, p + 1, n) == inv
                 if z is not None:
                     assert legendre_deg_deriv(p, n, z) == deriv
@@ -310,6 +310,12 @@ def test_degree_derivative_base_case():
         assert legendre_deg_deriv(0, 0, z) == pytest.approx(
             math.log((z + 1.0) / 2.0), rel=1e-14
         )
+    # near z = 1 the log is log1p((z-1)/2) of the exact z - 1; log of the
+    # rounded (z+1)/2 would keep only 2.2e-9 (z = 1.0000001) and 2.2e-12 (1.0001)
+    with mpmath.workdps(30):
+        for z in (1.0000001, 1.0001):
+            want = float(mpmath.log((mpmath.mpf(z) + 1) / 2))
+            assert legendre_deg_deriv(0, 0, z) == pytest.approx(want, rel=1e-15)
 
 
 def test_degree_derivative_above_degree_closed_form():
@@ -328,6 +334,23 @@ def test_degree_derivative_above_degree_closed_form():
                     * mpmath.legenp(p, -m, mpmath.mpf(z), type=3))
             err = float(abs(legendre_deg_deriv(p, m, z) / want - 1))
             assert err <= 1e-14, (p, m, z, err)
+
+
+def test_degree_derivative_at_or_below_degree_against_mpmath():
+    # the reference differentiates (nu-m+1)_{2m} P_nu^{-m}(z) = P_nu^m(z) in nu
+    # at 30 digits: _mpmath_legendre's reflection at real degree, ~100x
+    # faster than legenp at order +m.  Near z = 1 the m = 0 degree sums
+    # cancel as dP_nu/dnu -> 0: 6.0e-13 at (4, 0, 1.0001) over p <= 10, and
+    # 1.7e-15 from z = 1.05 on.
+    cases = [(p, m, z) for z in (1.05, 1.5, 3.0, 30.0, 1e4)
+             for (p, m) in ((0, 0), (2, 0), (4, 2), (7, 7), (10, 3))]
+    cases += [(p, m, 1.0001) for (p, m) in ((0, 0), (4, 0), (7, 3), (10, 10))]
+    with mpmath.workdps(30):
+        for (p, m, z) in cases:
+            want = mpmath.diff(lambda nu: mpmath.rf(nu - m + 1, 2 * m)
+                               * mpmath.legenp(nu, -m, mpmath.mpf(z), type=3), p)
+            err = float(abs(legendre_deg_deriv(p, m, z) / want - 1))
+            assert err <= (1e-12 if z < 1.05 else 2e-15), (p, m, z, err)
 
 
 def _fd_oracle(p: int, m: int, z: float, h: float = 1e-5) -> float:

@@ -25,7 +25,7 @@ from polyfourier.cli import main
 from polyfourier.legendre import LegendreArg, RationalT, neg_order_sum, taylor_coeffs_at1
 from polyfourier.series_algebraic import p_frak, re_frak
 from polyfourier.series_limit import (
-    _log_tail_coefficient,
+    _log_deriv_coefficient,
     log_tail_coefficient,
     power_coefficient,
 )
@@ -72,10 +72,28 @@ def test_both_pointwise_functions_refuse_points_of_another_dimension():
             fn(params, x, xp)
 
 
+# (d, k, x): r^{2k-d} at r = x is subnormal (1e-20 at k = 9, 1e160 at d = 4)
+# or 0.0, which would make the value 0.0 whatever the true one
+UNDERFLOWS = [(2, 9, 1e-20), (2, 9, 1e-21), (2, 9, 1e-200), (4, 1, 1e160), (4, 1, 1e200),
+              (3, 5, 1e-60)]
+
+
+@pytest.mark.parametrize("d,k,x", UNDERFLOWS, ids=[f"d{d}-k{k}-r{x:g}" for d, k, x in UNDERFLOWS])
+def test_a_distance_power_below_the_normal_range_is_refused(d, k, x):
+    # in the log regime greens_eval is li_direct times a constant, and the
+    # refusal names li_direct, as its overflow does
+    params = SolutionParams(d, k)
+    point, origin = (x,) + (0.0,) * (d - 1), (0.0,) * d
+    name = "li_direct" if params.is_log_regime else "greens_eval"
+    for fn in (greens_eval, li_direct) if params.is_log_regime else (greens_eval,):
+        with pytest.raises(ValueError, match=f"{name} underflows double precision"):
+            fn(params, point, origin)
+
+
 def test_log_tail_coefficient_is_the_tail_closed_form():
     p, n, eta = 2, 5, 0.7
     value = log_tail_coefficient(p, n, eta)
-    assert value == _log_tail_coefficient(LegendreArg.from_eta(eta), p, n)
+    assert value == _log_deriv_coefficient(LegendreArg.from_eta(eta), p, n)
     assert value == pytest.approx(quad_fourier_coeff("log", p, math.cosh(eta), n), rel=1e-8)
 
 
@@ -86,7 +104,11 @@ def test_log_tail_coefficient_is_the_tail_closed_form():
     # both points on the unit ring: chi = 1, so the value is printed without a table
     (["greens", "--d", "2", "--k", "1", "--x", "1,0", "--xp", "0,1"], 0,
      "note: no azimuthal expansion (degenerate geometry: chi must exceed 1)"),
-], ids=["coeffs-log-without-p", "coeffs-negative-nmax", "greens-degenerate"])
+    # r^16 = 1e-336 is 0.0 in double precision: refused as 1e-320 at r = 1e-20 is
+    (["greens", "--d", "2", "--k", "9", "--x", "1e-21,0", "--xp", "0,0"], 2,
+     "error: li_direct underflows double precision"),
+], ids=["coeffs-log-without-p", "coeffs-negative-nmax", "greens-degenerate",
+        "greens-power-underflows-to-zero"])
 def test_cli_refusals_and_notes(capsys, argv, code, stderr):
     assert main(argv) == code
     out, err = capsys.readouterr()

@@ -32,7 +32,8 @@ def test_harmonic_past_the_recursion_limit_on_a_cold_cache():
     harmonic.cache_clear()
     assert beta_pd(1200, 2) == (harmonic(1200) + harmonic(1200)) / 2
     harmonic.cache_clear()
-    assert li_direct(SolutionParams(2, 1201), (0.5, 0.0), (0.0, 0.0)) == 0.0  # 0.5^2400 underflows
+    # at r = 1, r^2400 (log r - beta) is -beta; the left side runs first, on the cold cache
+    assert li_direct(SolutionParams(2, 1201), (1.0, 0.0), (0.0, 0.0)) == -float(beta_pd(1200, 2))
 
 
 @given(st.integers(min_value=0, max_value=400))

@@ -25,8 +25,7 @@ from polyfourier import (
 from polyfourier.legendre import SYMBOLIC, LegendreArg
 from polyfourier.scalars import neumann, pochhammer
 from polyfourier.series_limit import (
-    _log_band_coefficient,
-    _log_tail_coefficient,
+    _log_deriv_coefficient,
     _power_coefficient,
     _power_weight,
     power_coefficient,
@@ -220,11 +219,10 @@ def test_band_and_tail_match_their_exact_evaluation():
     ts = [Fraction(math.exp(eta)) for eta in etas]
     for p in range(11):
         for n in range(51):
-            coeff = _log_band_coefficient if n <= p else _log_tail_coefficient
-            exact = coeff(SYMBOLIC, p, n)
+            exact = _log_deriv_coefficient(SYMBOLIC, p, n)
             for eta, fpt, t in zip(etas, fpts, ts):
                 want = Fraction(*exact.at(t))
-                err = abs(Fraction(coeff(fpt, p, n)) - want)
+                err = abs(Fraction(_log_deriv_coefficient(fpt, p, n)) - want)
                 assert err <= Fraction(1e-11) * abs(want), (p, n, eta, float(err / want))
 
 
@@ -242,7 +240,7 @@ def test_band_coefficient_is_the_degree_derivative_of_the_power_coefficient():
                 f = scale * legendre_p(p, n, z)
                 shift = float(harmonic(p) - harmonic(p + n)) - math.log((z + 1.0) / 2.0)
                 want = scale * legendre_deg_deriv(p, n, z) + shift * f
-                got = _log_band_coefficient(pt, p, n)
+                got = _log_deriv_coefficient(pt, p, n)
                 assert abs(got - want) <= 1e-10 * max(abs(got), abs(f)), (p, n, eta)
 
 

@@ -29,11 +29,7 @@ from polyfourier import (
 from polyfourier.legendre import SYMBOLIC, LegendreArg, RationalT, _legendre
 from polyfourier.logpoly import LogPolynomial, logpoly_recurrence
 from polyfourier.series_algebraic import _p_frak, _re_frak
-from polyfourier.series_limit import (
-    _inverse_coefficient,
-    _log_band_coefficient,
-    _log_tail_coefficient,
-)
+from polyfourier.series_limit import _inverse_coefficient, _log_deriv_coefficient
 from polyfourier.validation import (
     compare_log_routes,
     kernel_scale,
@@ -402,14 +398,14 @@ def _off_by_tiny(fn):
 @pytest.mark.parametrize(
     "module, name, check",
     [
-        # the band coefficient itself is not memoized
-        (validation, "_log_band_coefficient", lambda eta: verify_identity_mid(3, 1, eta)),
+        # the limit route's right side itself is not memoized
+        (validation, "_log_deriv_coefficient", lambda eta: verify_identity_mid(3, 1, eta)),
         # these are memoized on the point, keyed by the function object
         (series_algebraic, "_r_frak", lambda eta: verify_identity_tail(3, 6, eta)),
         (legendre, "_neg_order_sum", lambda eta: verify_identity_tail(3, 6, eta)),
-        (series_limit, "_legendre", lambda eta: verify_identity_mid(3, 1, eta)),
-        # a plain exact weight, read by the band coefficient on every proof
-        (series_limit, "_power_weight", lambda eta: verify_identity_mid(3, 1, eta)),
+        (legendre, "_legendre", lambda eta: verify_identity_mid(3, 1, eta)),
+        # eps_n of the band's weight w_n, read by the right side on every proof
+        (series_limit, "neumann", lambda eta: verify_identity_mid(3, 1, eta)),
     ],
     ids=["band_coefficient", "r_frak", "neg_order_sum", "legendre", "power_weight"],
 )
@@ -425,18 +421,18 @@ FLOAT_RULES = ("_FLOOR", "_CROSS_ROUTE_TOL", "_ORACLE_TOL", "_ORACLE_TOL_SMALL_E
 
 
 def test_suite_tolerances_never_reach_exact_rows(cold_points, monkeypatch):
-    # a band coefficient off by 1e-30 is far inside tolerances and floor of
-    # 1, yet every band row fails: the float families' rules govern only the
-    # float rows (the worker is forked, so it reads the patched constants)
+    # a right side off by 1e-30 is far inside tolerances and floor of 1, yet
+    # every exact row fails: the float families' rules govern only the float
+    # rows (the worker is forked, so it reads the patched constants)
     for name in FLOAT_RULES:
         monkeypatch.setattr(validation, name, 1.0)
     monkeypatch.setattr(
-        validation, "_log_band_coefficient", _off_by_tiny(validation._log_band_coefficient)
+        validation, "_log_deriv_coefficient", _off_by_tiny(validation._log_deriv_coefficient)
     )
     reports = run_validation_suite(pmax=3, etas=(0.5,), nmax=6)
-    assert {"n0", "mid", "np"} <= {r.identity for r in reports}
+    assert set(EXACT_FAMILIES) <= {r.identity for r in reports}
     for r in reports:
-        assert r.passed == (r.identity not in ("n0", "mid", "np")), r
+        assert r.passed == (r.identity not in EXACT_FAMILIES), r
         assert r.tol == (0.0 if r.identity in EXACT_FAMILIES else 1.0), r
 
 
@@ -493,8 +489,7 @@ def test_symbolic_values_match_the_float_closed_forms(eta, p, n):
     # relative error of the float point's values against the symbolic point's
     # at t = Fraction(e^eta), wherever the float value is a normal double
     fpt, t = LegendreArg.from_eta(eta), Fraction(math.exp(eta))
-    log_coefficient = _log_band_coefficient if n <= p else _log_tail_coefficient
-    for fn, args in ((log_coefficient, (p, n)), (_inverse_coefficient, (p + 1, n)),
+    for fn, args in ((_log_deriv_coefficient, (p, n)), (_inverse_coefficient, (p + 1, n)),
                      (_legendre, (p, min(n, p))), (_legendre, (p, -n))):
         got = fn(fpt, *args)
         if abs(got) < sys.float_info.min:
@@ -541,11 +536,10 @@ def test_row_sides_equal_a_plain_fraction_evaluation():
         if r.identity == "re_closed_form":
             lhs = _re_frak(pt, r.n, r.p)
             rhs = math.prod(range(r.n - r.p, r.n + r.p + 1)) * pt.exp(r.n) * (
-                _log_tail_coefficient(pt, r.p, r.n))
+                _log_deriv_coefficient(pt, r.p, r.n))
         else:
             lhs = _p_frak(pt, r.n, r.p)
-            coefficient = _log_tail_coefficient if r.identity == "tail" else _log_band_coefficient
-            rhs = coefficient(pt, r.p, r.n)
+            rhs = _log_deriv_coefficient(pt, r.p, r.n)
         assert (r.lhs, r.rhs) == (float(lhs), float(rhs)), r
 
 
