@@ -252,8 +252,21 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
+def _bind_points(argv):
+    """argv with each spaced --x/--xp value bound to its flag (--x=-1,0):
+    argparse takes a spaced value that starts with '-', as a point whose
+    first coordinate is negative does, for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--x", "--xp") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_bind_points(sys.argv[1:] if argv is None else argv))
     handler = {
         "logpoly": _cmd_logpoly,
         "coeffs": _cmd_coeffs,

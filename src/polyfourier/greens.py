@@ -17,6 +17,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
@@ -144,13 +145,26 @@ def _dist(name: str, params: SolutionParams, x: Sequence[float],
 @in_float_range
 def greens_eval(params: SolutionParams, x: Sequence[float], xprime: Sequence[float]) -> float:
     """Fundamental solution value; logarithmic branch for even d with
-    k >= d/2, pure power branch otherwise."""
+    k >= d/2, pure power branch otherwise.  Where the log branch's constant
+    (k-1)! p! 2^{2k-1} pi^{d/2} leaves the float range, li_direct is divided
+    by it exactly and rounded once; a nonzero value below 2^-1022, 0.0
+    included, is refused as an underflow."""
     d, k = params.d, params.k
     if params.is_log_regime:
-        p = params.p
+        li = li_direct(params, x, xprime)
         sign = (-1) ** (k + d // 2 + 1)
-        denom = math.factorial(k - 1) * math.factorial(p) * 2 ** (2 * k - 1) * math.pi ** (d / 2)
-        return sign * li_direct(params, x, xprime) / denom
+        scale = math.factorial(k - 1) * math.factorial(params.p) * 2 ** (2 * k - 1)
+        try:
+            denom = scale * math.pi ** (d / 2)
+        except OverflowError:
+            denom = math.inf
+        if denom < math.inf:
+            value = sign * li / denom
+        else:
+            value = sign * float(Fraction(li) / scale / Fraction(math.pi) ** (d // 2))
+        if li and not value:
+            raise ValueError("greens_eval underflows double precision")
+        return value
     num = math.gamma(d / 2 - k)
     denom = math.factorial(k - 1) * 2 ** (2 * k) * math.pi ** (d / 2)
     return num * _dist("greens_eval", params, x, xprime)[1] / denom

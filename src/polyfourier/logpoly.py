@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "LogPolynomial",
@@ -32,11 +32,18 @@ __all__ = [
 ]
 
 
+def _nearest_float(c) -> float:
+    """The int or Fraction c rounded to the nearest float by one integer true
+    division, correctly rounded: the operation float(Fraction) performs
+    (numbers.Rational.__float__), so the same bits and the same
+    OverflowError, without its ABC dispatch and two int() calls."""
+    return c.numerator / c.denominator
+
+
 def horner(coeffs, x, weight):
     """sum_i coeffs[i] x^i by Horner's rule, each coefficient cast by weight
-    (Fraction for an exact value, the point's weight for a float one).  The
-    float R_p^k values of the algebraic route do not come through here:
-    logpoly_eval writes the same loop out with its cast inline."""
+    (Fraction for an exact value, the point's weight for a float one, float
+    for coefficients that are floats already, as logpoly_eval's are)."""
     acc = weight(0)
     for c in reversed(coeffs):
         acc = acc * x + weight(c)
@@ -68,6 +75,11 @@ class LogPolynomial:
 
     def derivative_coeffs(self) -> tuple[Fraction, ...]:
         return tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
+
+    @cached_property
+    def _float_coeffs(self) -> tuple[float, ...]:
+        """coeffs each rounded to the nearest float, once per polynomial."""
+        return tuple(map(_nearest_float, self.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -105,15 +117,6 @@ def logpoly_recurrence(p: int, k: int) -> LogPolynomial:
 
 def logpoly_eval(poly: LogPolynomial, x: float) -> float:
     """Horner evaluation of the exact coefficients in double precision,
-    horner(poly.coeffs, x, float) bit for bit.
-
-    Each coefficient is rounded by one integer true division, which is what
-    float() does to a Fraction, without its ABC dispatch and two int()
-    calls.  The loop is written out rather than calling horner with a cast
-    because it is the algebraic route's inner loop: every table forms each
-    R_p^k(cosh eta) again for each n, and a call per coefficient measured
-    212 ring-pair tables/s against 251 with the division inline."""
-    acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * x + c.numerator / c.denominator
-    return acc
+    horner(poly.coeffs, x, float) bit for bit, over the coefficients the
+    polynomial rounded once rather than on every call."""
+    return horner(poly._float_coeffs, x, float)

@@ -216,6 +216,24 @@ def test_negative_order_closed_form_is_written_once():
         "series_limit": {"_inverse_coefficient"}}
 
 
+def test_horner_loop_and_float_rounding_are_written_once():
+    # logpoly_eval is horner over the floats its polynomial rounded once, and
+    # _nearest_float is the one spelling of the correctly rounded cast
+    src = ROOT / "src" / "polyfourier"
+    fns = _functions(src / "logpoly.py")
+    loopers = {name for name, fn in fns.items()
+               if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(fn))}
+    assert loopers == {"horner", "_recurrence_row"}
+    assert ast.unparse(fns["logpoly_eval"].body[-1]) == (
+        "return horner(poly._float_coeffs, x, float)")
+    spellers = {(module.stem, fn.name) for module in src.glob("*.py")
+                for fn in ast.walk(ast.parse(module.read_text()))
+                if isinstance(fn, ast.FunctionDef)
+                and ".numerator / " in ast.unparse(fn)}
+    assert spellers == {("logpoly", "_nearest_float")}
+    assert "_float_coeffs" not in polyfourier.LogPolynomial.__dataclass_fields__
+
+
 def test_greens_writes_the_log_profile_and_the_point_check_once():
     # greens_eval's log branch is li_direct times its signed constant, and
     # _dist is the one check of a point pair

@@ -279,6 +279,15 @@ def test_greens_usage_errors(capsys):
     assert code == 2  # coincident points
 
 
+def test_greens_takes_a_negative_first_coordinate_spaced_or_bound(capsys):
+    # argparse read the spaced "-1,0.5" as an option: "--x: expected one argument"
+    bound = run_cli(capsys, "greens", "--d", "2", "--k", "2", "--x=-1,0.5", "--xp=-0.3,0.2")
+    spaced = run_cli(capsys, "greens", "--d", "2", "--k", "2", "--x", "-1,0.5",
+                     "--xp", "-0.3,0.2")
+    assert bound == spaced
+    assert spaced[0] == 0 and "\nvalue," in spaced[1] and "\nn,coefficient\n" in spaced[1]
+
+
 @pytest.mark.parametrize("d,k,x,xp", [
     ("2", "1", "nan,0", "1,0"),  # a nan coordinate gave value,nan and exit 0
     ("2", "1", "1e200,0", "1,0"),  # R**2 in Geometry.chi overflowed

@@ -1,10 +1,11 @@
 """The float point rounds every exact weight by one integer true division.
 
-LegendreArg.weight (legendre._nearest_float) and logpoly_eval's inline loop
-replace float() of an int or a Fraction on the table-building path.  These
-tests pin that the replacement gives float()'s bits, and its OverflowError,
-that every series route builds the same tables bit for bit as with float(),
-and that the generic float(Fraction) stays off the hot path."""
+LegendreArg.weight and the float coefficients each LogPolynomial rounds once
+for logpoly_eval, both logpoly._nearest_float, replace float() of an int or
+a Fraction on the table-building path.  These tests pin that the
+replacement gives float()'s bits, and its OverflowError, that every series
+route builds the same tables bit for bit as with float(), and that the
+generic float(Fraction) stays off the hot path."""
 
 import math
 from fractions import Fraction

@@ -10,6 +10,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import pytest
 
 from polyfourier import (
@@ -163,6 +164,24 @@ def test_greens_is_signed_multiple_of_radial_profile():
             got = greens_eval(params, x, o)
             want = const * li_direct(params, x, o)
             assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("d,k", [(2, 86), (2, 120), (8, 87)])
+def test_log_value_under_an_overflowing_constant_against_mpmath(d, k):
+    # the constant (k-1)! p! 2^{2k-1} pi^{d/2} is past the float range: at
+    # d = 2 from k = 86 on, which was refused as an overflow, and at (8, 87)
+    # only once times pi^4, which returned -0.0; at r = 5 the value is still
+    # a normal double (-9.8e-300 at k = 120)
+    params, r = SolutionParams(d, k), 5.0
+    with mpmath.workdps(30):
+        h, p = d // 2, k - d // 2
+        beta = (mpmath.harmonic(p) + mpmath.harmonic(h + p - 1) - mpmath.harmonic(h - 1)) / 2
+        want = ((-1) ** (k + h + 1) * mpmath.mpf(r) ** (2 * p) * (mpmath.log(r) - beta)
+                / (mpmath.factorial(k - 1) * mpmath.factorial(p) * mpmath.mpf(2) ** (2 * k - 1)
+                   * mpmath.pi ** h))
+    got = greens_eval(params, (r,) + (0.0,) * (d - 1), (0.0,) * d)
+    assert abs(got) >= 2.0**-1022
+    assert got == pytest.approx(float(want), rel=1e-14)
 
 
 def test_greens_rejects_dimension_mismatch():

@@ -90,6 +90,22 @@ def test_a_distance_power_below_the_normal_range_is_refused(d, k, x):
             fn(params, point, origin)
 
 
+# (d, k, x): r^{2k-d} (log r - beta) is a normal double, but the log branch's
+# constant (k-1)! p! 2^{2k-1} pi^{d/2} is past the float range and the value
+# under it (-6.2e-466 at k = 120, r = 1, by mpmath)
+TINY_LOG_VALUES = [(2, 120, 1.0), (2, 1201, 1.0), (2, 300, 1.5), (4, 150, 3.0)]
+
+
+@pytest.mark.parametrize("d,k,x", TINY_LOG_VALUES,
+                         ids=[f"d{d}-k{k}-r{x:g}" for d, k, x in TINY_LOG_VALUES])
+def test_a_log_value_under_its_overflowing_constant_is_refused_as_an_underflow(d, k, x):
+    params = SolutionParams(d, k)
+    point, origin = (x,) + (0.0,) * (d - 1), (0.0,) * d
+    assert abs(li_direct(params, point, origin)) >= 2.0**-1022
+    with pytest.raises(ValueError, match="greens_eval underflows double precision"):
+        greens_eval(params, point, origin)
+
+
 def test_log_tail_coefficient_is_the_tail_closed_form():
     p, n, eta = 2, 5, 0.7
     value = log_tail_coefficient(p, n, eta)
