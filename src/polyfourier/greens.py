@@ -76,12 +76,15 @@ class Geometry:
 
     @property
     def chi(self) -> float:
-        """Raises ValueError where a square overflows or the ratio is not a number."""
+        """Raises ValueError where a square overflows, the ratio is not a
+        number, or 2RR' is below 2^-1022, where the squares would round on
+        subnormals: a normal 2RR' bounds their rounding at 2^-53 of chi."""
+        two_rr = 2.0 * self.R * self.Rprime
         try:
-            chi = (self.R**2 + self.Rprime**2 + self.perp_sq) / (2.0 * self.R * self.Rprime)
+            chi = (self.R**2 + self.Rprime**2 + self.perp_sq) / two_rr
         except (OverflowError, ZeroDivisionError):
             chi = math.nan
-        if math.isnan(chi):
+        if math.isnan(chi) or two_rr < 2.0**-1022:
             raise ValueError("ring coordinates out of the float range: chi cannot be formed")
         return chi
 
@@ -275,6 +278,8 @@ def li_expansion(
         scale = two_rr**p
     except OverflowError:
         raise ValueError("li_expansion: (2RR')^p overflows double precision") from None
+    if scale < 2.0**-1022:
+        raise ValueError("li_expansion: (2RR')^p underflows double precision")
     w = 0.5 * math.log(two_rr) - float(beta_pd(p, params.d))
     # f_n = 0 past n = p; the log table is always the longer one (n >= p+1)
     coeffs = [scale * (w * f + 0.5 * g)
@@ -293,6 +298,8 @@ def hii_expansion(
         scale = (2.0 * geom.R * geom.Rprime) ** (-q)
     except OverflowError:
         raise ValueError("hii_expansion: (2RR')^-q overflows double precision") from None
+    if scale < 2.0**-1022:
+        raise ValueError("hii_expansion: (2RR')^-q underflows double precision")
     coeffs = tuple(scale * c for c in htab.coeffs)
     return FourierCoeffTable("hii", q, geom.chi, htab.eta, htab.method, coeffs)
 

@@ -16,8 +16,7 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
       S_{p,n}(z) = sum_{j=0}^{p} [(-p)_j (p+1)_j / (j! (1+n)_j)] ((1-z)/2)^j,
   whose terms are again all positive for z > 1.  _neg_order_term writes it
   once for P_p^{-n}, the degree derivative past m = p (the log tail) and the
-  inverse power; the float point casts a weight that would not stay normal
-  scaled by a power of two.
+  inverse power.
 
 Each closed form here, and those of the series routes built on it, is
 written once over an evaluation point that owns the arithmetic.  LegendreArg
@@ -25,6 +24,8 @@ is one float point, z = coth(eta), that holds eta and u = z - 1: the factors
 (z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} are csch eta and e^{-eta}, and the
 positive-term sums run in u.  from_eta sets u = 2/expm1(2 eta); from_z, behind
 the z-argument functions, keeps u = z - 1 exact and sets eta = log1p(2/u)/2.
+Every exact weight w meets the point's values in pt.times(w, *factors),
+where the float point guards w's cast once for every closed form.
 SymbolicLegendreArg is the exact point as a function of t = e^eta, whose
 values are RationalT, P(t) (t^2-1)^e / d with P an integer Laurent
 polynomial; it holds no eta, so the identities validation proves there hold
@@ -70,8 +71,9 @@ class LegendreArg:
     u.  from_eta sets u = 2/expm1(2 eta), or 2 e^{-2 eta}/(-expm1(-2 eta))
     past eta ~ 354.9, where expm1(2 eta) overflows; from_z keeps u = z - 1
     exact, which those sums need near z = 1, and sets eta = log1p(2/u)/2.
-    weight rounds each exact weight (an int or a Fraction) once, by
-    _nearest_float; total is math.fsum.
+    weight rounds an int or a Fraction once, by _nearest_float (Horner's
+    cast, and the constants 0 and 1); times guards it for an exact weight
+    times float factors; total is math.fsum.
     """
 
     eta: float
@@ -95,6 +97,20 @@ class LegendreArg:
 
     weight = staticmethod(_nearest_float)
     total = staticmethod(math.fsum)
+
+    def times(self, w, *factors):
+        """w times the factors, left to right, the exact w cast by weight;
+        where that cast of a nonzero w is 0, subnormal or overflows, it casts
+        w 2^-e (e: w's binary exponent) and scales the product by 2^e, which
+        rounds nothing while the products stay normal."""
+        try:
+            c = self.weight(w)
+        except OverflowError:
+            c = math.inf
+        if 2.0**-1022 <= abs(c) < math.inf or not w:
+            return math.prod(factors, start=c)
+        e = abs(w.numerator).bit_length() - w.denominator.bit_length()
+        return math.ldexp(math.prod(factors, start=self.weight(w / Fraction(2) ** e)), e)
 
     def exp(self, k: int) -> float:
         return math.exp(k * self.eta)
@@ -265,6 +281,7 @@ class SymbolicLegendreArg:
 
     weight = staticmethod(lambda c: c)  # exact weights stay exact
     total = staticmethod(RationalT.total)
+    times = staticmethod(lambda w, *factors: math.prod(factors, start=w))
 
     def cached(self, fn, *args):
         if (fn, args) not in self._memo:
@@ -323,17 +340,8 @@ def neg_order_sum(p: int, n: int, z: float) -> float:
 
 def _neg_order_term(pt, p: int, n: int, w, scale):
     """n! w scale P_p^{-n}(coth eta) = w scale e^{-n eta} S_{p,n}, for an exact
-    weight w that holds P_p^{-n}'s 1/n!.  Where the float point's cast of w is
-    0, subnormal or overflows, it takes w 2^-e (e: w's binary exponent) and
-    scales by 2^e, which rounds nothing while the products stay normal."""
-    try:
-        c = pt.weight(w)
-    except OverflowError:
-        c = 0.0
-    if isinstance(c, float) and abs(c) < 2.0**-1022:  # the symbolic point's c is exact
-        e = abs(w.numerator).bit_length() - w.denominator.bit_length()
-        return math.ldexp(_neg_order_term(pt, p, n, w / Fraction(2) ** e, scale), e)
-    return c * scale * pt.exp(-n) * pt.cached(_neg_order_sum, p, n)
+    weight w that holds P_p^{-n}'s 1/n!; the point's times guards its cast."""
+    return pt.times(w, scale, pt.exp(-n), pt.cached(_neg_order_sum, p, n))
 
 
 def _legendre(pt, p: int, m: int):
@@ -367,8 +375,8 @@ def _degree_sums(pt, p: int, m: int, w, scale):
     m >= 1, S_same = sum_{k<p-m} (-1)^k c_k P_{k+m}^m with
     c_k = (2k+2m+1)/((p-m-k)(p+m+k+1)) (1 + k! (p+m)!/((k+2m)! (p-m)!)) and
     S_neg = sum_{k<m} (-1)^k (2k+1)/((p-k)(p+k+1)) P_k^{-m}.  Each prefactor
-    is folded into the exact weight w before the point casts it; each term is
-    then multiplied by scale."""
+    is folded into the exact weight w, which pt.times casts and multiplies
+    by scale and the sum."""
     f = math.factorial
     terms = []
     if m <= p - 1:
@@ -376,14 +384,14 @@ def _degree_sums(pt, p: int, m: int, w, scale):
         for k in range(p - m):
             c = Fraction(f(k) * f(p + m), f(k + 2 * m) * f(p - m)) + 1
             c *= Fraction(2 * k + 2 * m + 1, (p - m - k) * (p + m + k + 1))
-            s += (-1) ** k * pt.weight(c) * pt.cached(_legendre, k + m, m)
-        terms.append(pt.weight((-1) ** (p + m) * w) * scale * s)
+            s += (-1) ** k * pt.times(c, pt.cached(_legendre, k + m, m))
+        terms.append(pt.times((-1) ** (p + m) * w, scale, s))
     if m >= 1:
         s = 0
         for k in range(m):
             c = Fraction(2 * k + 1, (p - k) * (p + k + 1))
-            s += (-1) ** k * pt.weight(c) * pt.cached(_legendre, k, -m)
-        terms.append(pt.weight((-1) ** p * Fraction(f(p + m), f(p - m)) * w) * scale * s)
+            s += (-1) ** k * pt.times(c, pt.cached(_legendre, k, -m))
+        terms.append(pt.times((-1) ** p * Fraction(f(p + m), f(p - m)) * w, scale, s))
     return terms
 
 
@@ -400,7 +408,7 @@ def _deg_deriv(pt, p: int, m: int, c, scale, h: int):
         return _neg_order_term(pt, p, m, w, scale)
     w = Fraction(c * f(p), f(p + m))
     dig = 2 * harmonic(2 * p) - harmonic(h) - harmonic(p - m)
-    head = pt.weight(w * dig) * scale * pt.cached(_legendre, p, m)
+    head = pt.times(w * dig, scale, pt.cached(_legendre, p, m))
     return pt.total([head, *_degree_sums(pt, p, m, w, scale)])
 
 

@@ -74,7 +74,7 @@ def _power_weight(p: int, n: int) -> Fraction:
 def _power_coefficient(pt, p: int, n: int):
     if not 0 <= n <= p:
         raise ValueError("power_coefficient needs 0 <= n <= p")
-    return pt.weight(_power_weight(p, n)) * pt.sinh_pow(p) * pt.cached(_legendre, p, n)
+    return pt.times(_power_weight(p, n), pt.sinh_pow(p), pt.cached(_legendre, p, n))
 
 
 def power_coefficient(p: int, n: int, eta: float) -> float:

@@ -212,8 +212,54 @@ def test_negative_order_closed_form_is_written_once():
     term_users = {module.stem: set(_names_used(module, {"_neg_order_term"}))
                   for module in src.glob("*.py")}
     assert {m: u for m, u in term_users.items() if u} == {
-        "legendre": {"_neg_order_term", "_legendre", "_deg_deriv"},
+        "legendre": {"_legendre", "_deg_deriv"},
         "series_limit": {"_inverse_coefficient"}}
+
+
+def _defs(path: Path):
+    """(name, FunctionDef) of each top-level function and class method."""
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from ((f"{stmt.name}.{fn.name}", fn) for fn in stmt.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+CLOSED_FORMS = ("legendre", "series_limit", "series_algebraic")
+
+
+def test_exact_weight_products_are_guarded_once():
+    # LegendreArg.times is the one guarded cast of an exact weight times its
+    # factors: the power-of-two rescale lives there alone, no closed form
+    # tests the point's type, and pt.weight is left as Horner's cast and the
+    # constants 0 and 1
+    src = ROOT / "src" / "polyfourier"
+
+    def callers(modules, test):
+        return {(module, name) for module in modules for name, fn in _defs(src / f"{module}.py")
+                for node in ast.walk(fn) if test(node)}
+
+    everywhere = [module.stem for module in src.glob("*.py")]
+    assert callers(everywhere, lambda node: isinstance(node, ast.Call)
+                   and ast.unparse(node.func).endswith("ldexp")) == {
+        ("legendre", "LegendreArg.times")}
+    assert callers(CLOSED_FORMS, lambda node: isinstance(node, ast.BinOp)
+                   and ast.unparse(node) == "2.0 ** (-1022)") == {
+        ("legendre", "LegendreArg.times")}
+    for module in CLOSED_FORMS:
+        for name, fn in _defs(src / f"{module}.py"):
+            if fn.args.args and fn.args.args[0].arg == "pt":
+                assert "isinstance(" not in ast.unparse(fn), (module, name)
+    casts = {ast.unparse(node) for module in CLOSED_FORMS
+             for node in ast.walk(ast.parse((src / f"{module}.py").read_text()))
+             if isinstance(node, ast.Call) and "pt.weight" in map(
+                 ast.unparse, (node.func, *node.args))}
+    assert casts == {"pt.weight(1)", "pt.weight(Fraction(0))",
+                     "horner(taylor_coeffs_at1(p, m), pt.u, pt.weight)"}
+    term = _functions(src / "legendre.py")["_neg_order_term"]
+    assert ast.unparse(term.body[-1]) == (
+        "return pt.times(w, scale, pt.exp(-n), pt.cached(_neg_order_sum, p, n))")
 
 
 def test_horner_loop_and_float_rounding_are_written_once():

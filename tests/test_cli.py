@@ -294,6 +294,7 @@ def test_greens_takes_a_negative_first_coordinate_spaced_or_bound(capsys):
     ("2", "2", "1e160,0", "1,0"),  # r**(2k-d) in greens_eval overflowed
     ("4", "2", "1,0,1e200,0", "1,0,0,0"),  # the transverse offset's square overflowed
     ("2", "11", "1.24e15,0", "3.24e15,0"),  # (2RR')**p in li_expansion overflows
+    ("2", "1", "1e-161,0", "2e-161,0"),  # chi formed on subnormals: 1.2469..., not 1.25
 ])
 def test_greens_out_of_range_points_exit_2(capsys, d, k, x, xp):
     code, out, err = run_cli(capsys, "greens", "--d", d, "--k", k, "--x", x, "--xp", xp)

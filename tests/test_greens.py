@@ -430,6 +430,15 @@ def test_out_of_float_range_is_a_value_error():
         with pytest.raises(ValueError) as info:
             Geometry(*bad)
         assert not isinstance(info.value, DegenerateGeometryError)
+    # chi = 1.3125 at R = s, R' = 2s, perp = (s/2)^2: below 2RR' = 2^-1022 the
+    # squares round on subnormals (relative error 2.2e-9 at s = 1e-158, and
+    # DegenerateGeometryError at s = 1e-162); refused before the degeneracy test
+    for s in (1e-158, 1e-160, 1e-162):
+        with pytest.raises(ValueError, match="ring coordinates out of the float range") as info:
+            Geometry(s, 2 * s, (s / 2) ** 2)
+        assert not isinstance(info.value, DegenerateGeometryError)
+    for s in (1e-150, 1.0, 1e150):
+        assert Geometry(s, 2 * s, (s / 2) ** 2).chi == pytest.approx(1.3125, rel=4 * 2.0**-53)
     with pytest.raises(DegenerateGeometryError):
         Geometry(1.0, 1.0, 0.0)
     params = SolutionParams(2, 2)
@@ -464,6 +473,22 @@ def test_hii_expansion_scale_overflow_is_a_value_error():
     g = Geometry(1e-100, 1.1e-100, 0.0)
     with pytest.raises(ValueError, match=r"\(2RR'\)\^-q overflows"):
         hii_expansion(SolutionParams(6, 1), g)
+
+
+def test_li_expansion_scale_underflow_is_a_value_error():
+    # (2RR')^12 ~ 2.8e-3593 is 0.0: every coefficient came back +-0.0
+    g = Geometry(1e-150, 2e-150, 0.0)
+    for method in ("algebraic", "limit"):
+        with pytest.raises(ValueError, match=r"\(2RR'\)\^p underflows double precision"):
+            li_expansion(SolutionParams(2, 12), g, method=method)
+    with pytest.raises(ValueError, match="underflows"):
+        axisym_component(SolutionParams(2, 12), g)
+
+
+def test_hii_expansion_scale_underflow_is_a_value_error():
+    # q = 2: (2RR')^-2 ~ 4e-601 is 0.0: all 58 coefficients came back 0.0
+    with pytest.raises(ValueError, match=r"\(2RR'\)\^-q underflows double precision"):
+        hii_expansion(SolutionParams(6, 1), Geometry(1e150, 2e150, 0.0))
 
 
 def test_algebraic_term_overflow_is_a_value_error_naming_the_table():

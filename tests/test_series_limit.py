@@ -7,6 +7,7 @@ periodic-trapezoid quadrature oracle before being frozen here."""
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -305,3 +306,94 @@ def test_every_route_rejects_non_finite_chi(route, chi):
     # fsum error for the log kernel
     with pytest.raises(ValueError):
         route(chi)
+
+
+# -- exact weights whose cast is not a normal double ------------------------------
+# f_n's weight eps_n (-1)^n p!/(p+n)! is subnormal from p = 135 (n = p) and 0.0
+# from p = 140; the point's times casts it scaled by a power of two instead.
+
+def _power_reference(pmax: int, chi: float) -> dict[int, list]:
+    """{p: [c_0 .. c_p]} of (chi - cos psi)^p in mpmath, by multiplying by
+    chi - cos psi p times, cos psi cos n psi = (cos (n-1) psi + cos (n+1) psi)/2.
+    c_n has the sign (-1)^n, so each step adds terms of one sign and no digit
+    cancels."""
+    x, out = mpmath.mpf(chi), {0: [mpmath.mpf(1)]}
+    for p in range(1, pmax + 1):
+        a, b = out[p - 1], [mpmath.mpf(0)] * (p + 1)
+        for n, an in enumerate(a):
+            b[n] += x * an
+            for k in {abs(n - 1), n + 1}:
+                b[k] -= an / 2 if n else an
+        out[p] = b
+    return out
+
+
+def _log_reference(p: int, chi: float, nmax: int) -> list:
+    """c_0 .. c_nmax of (chi - cos psi)^p log(chi - cos psi) in mpmath: the
+    power series times log(chi - cos psi) = eta - log 2 - 2 sum_m e^{-m eta}
+    cos(m psi)/m, cos A cos B = (cos (A+B) + cos (A-B))/2.  Past m = p + nmax
+    no log term reaches n <= nmax, so the sum is finite; it cancels, so the
+    caller sets the precision."""
+    a, eta = _power_reference(p, chi)[p], mpmath.acosh(chi)
+    b = [eta - mpmath.log(2)] + [-2 * mpmath.exp(-m * eta) / m for m in range(1, p + nmax + 1)]
+    out = [mpmath.mpf(0)] * (nmax + 1)
+    for j, aj in enumerate(a):
+        for m, bm in enumerate(b):
+            for k in (j + m, abs(j - m)):
+                if k <= nmax:
+                    out[k] += aj * bm / 2
+    return out
+
+
+def _worst_relative_error(got, want) -> float:
+    return max(float(abs(g / w - 1)) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("chi", [1.5, 3.0])
+def test_power_series_past_the_subnormal_weight_against_mpmath(chi):
+    # with the weight cast unguarded, the error at chi = 1.5 was 1.4e-11 at
+    # p = 136 and 1.2e-6 at p = 138, and from p = 140 entries of 1e-42 ..
+    # 1e-24 came back 0.0
+    with mpmath.workdps(40):
+        want = _power_reference(150, chi)
+    for p in range(136, 151):
+        assert _worst_relative_error(power_series(p, chi).coeffs, want[p]) < 1e-13, p
+
+
+def test_leading_power_coefficient_is_exact_up_to_the_last_degree():
+    # c_p = 2 (-1)^p 2^-p at every chi: the weight (-1)^p 2 p!/(2p)! times
+    # sinh^p(eta) P_p^p(coth eta) = (2p-1)!!; at p = 135, chi = 1.5 it is
+    # exactly -2^-134
+    eta = eta_from_chi(1.5)
+    for p in range(1, 151):
+        assert power_coefficient(p, p, eta) == pytest.approx(2.0 * (-0.5) ** p, rel=1e-14), p
+    assert power_series(135, 1.5).coeffs[135] == -(2.0**-134)
+
+
+@pytest.mark.parametrize("p", [136, 140])
+def test_log_series_limit_past_the_subnormal_weight_against_mpmath(p):
+    # with the weight casts unguarded, the worst error at p = 140 was 5.5e-2
+    with mpmath.workdps(150):  # the reference sum cancels about 100 digits
+        want = _log_reference(p, 1.5, p + 1)
+    assert _worst_relative_error(log_series_limit(p, 1.5, p + 1).coeffs, want) < 1e-13
+
+
+@pytest.mark.parametrize("chi", [1.5, 3.0])
+def test_power_series_from_degree_151_is_refused(chi):
+    # the Taylor coefficient (2p)!/(2^p p!) of P_p^p leaves the float range
+    for p in (151, 200):
+        with pytest.raises(ValueError, match="coefficient out of the float range"):
+            power_series(p, chi)
+
+
+def test_zero_weight_is_the_plain_product():
+    # at p = n = 0 the digamma head's weight is 0: times must not rescale it
+    pt = LegendreArg.from_eta(ETA)
+    assert pt.times(Fraction(0), 2.0, 3.0) == 0.0
+    assert pt.times(Fraction(1, 3), 3.0) == (1 / 3) * 3.0
+    assert pt.times(Fraction(1, 2**1100), 2.0**100, 2.0**99) == 2.0**-901
+    assert pt.times(-(2**1100), 2.0**-1000) == -(2.0**100)
+    assert SYMBOLIC.times(Fraction(0), pt.eta) == 0
+    with mpmath.workdps(40):
+        want = mpmath.acosh(CHI) - mpmath.log(2)
+    assert log_series_limit(0, CHI, 1).coeffs[0] == pytest.approx(float(want), rel=4e-16)

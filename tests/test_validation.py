@@ -503,6 +503,7 @@ class _FractionPoint:
     memo: the arithmetic the symbolic point replaces."""
 
     total = staticmethod(sum)
+    times = staticmethod(lambda w, *factors: math.prod(factors, start=w))
 
     def __init__(self, eta):
         t = self.t = Fraction(math.exp(eta))
