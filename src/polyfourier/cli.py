@@ -39,6 +39,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    """The value of --etas: comma-separated floats."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="polyfourier")
     sub = top.add_subparsers(dest="command", required=True)
@@ -69,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     va = sub.add_parser("validate", help="identity / cross-route / oracle reports",
                         argument_default=argparse.SUPPRESS)
     va.add_argument("--pmax", type=int)
-    va.add_argument("--etas")
+    va.add_argument("--etas", type=_float_list)
     va.add_argument("--nmax", type=int)
     va.add_argument("--format", choices=("csv", "json"), default="csv")
     return top
@@ -229,8 +237,6 @@ def _cmd_greens(args) -> int:
 
 def _cmd_validate(args) -> int:
     grid = {name: getattr(args, name) for name in ("pmax", "etas", "nmax") if name in args}
-    if "etas" in grid:
-        grid["etas"] = tuple(float(v) for v in grid["etas"].split(","))
     reports = run_validation_suite(**grid)
     failures = sum(not r.passed for r in reports)
     # one row per write: a single 640 KB write to a pipe lost its tail, with

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError
 
 __all__ = ["FourierCoeffTable", "default_nmax"]
@@ -81,7 +79,8 @@ class FourierCoeffTable:
         near psi = 0 and pi: d_k = c_k + lam b_{k+1} + s d_{k+1} and
         b_k = d_k + s b_{k+1} for k = N..1 from b = d = 0, and the sum is
         c_0 + (lam/2) b_1 + s d_1.  A scalar (or 0-d) psi runs this on
-        Python floats and returns a float.  An array keeps its shape and
+        Python floats and returns a float; an int or float psi never loads
+        numpy, which only an array psi needs.  An array keeps its shape and
         runs one in-place loop with s folded into the coefficients: where
         s = -1, (-1)^k d_k and (-1)^k b_k obey the s = +1 recurrence with
         c'_k = (-1)^k c_k and lam' = -lam = -4 cos^2(psi/2).  The loop
@@ -101,22 +100,18 @@ class FourierCoeffTable:
         entry or the new one.  Only grids of at most _HELD_GRID_POINTS
         (2^16) points are held, about 24 bytes a point.
         """
+        if isinstance(psi, (int, float)):
+            return self._sum_at(float(psi))
+        import numpy as np  # only an array psi loads numpy
+
         psi_arr = np.asarray(psi)
         if psi_arr.dtype.kind == "c":
             raise ValueError("reconstruct needs a real psi")
         psi_arr = psi_arr.astype(float, copy=False)
+        if psi_arr.ndim == 0:
+            return self._sum_at(float(psi_arr))
         if not np.isfinite(psi_arr).all():
             raise ValueError("reconstruct needs a finite psi")
-        if psi_arr.ndim == 0:
-            x = float(psi_arr)
-            s = math.copysign(1.0, math.cos(x))
-            # 1 - s and 1 + s are 0 or 2 exactly, so one half-angle term survives
-            lam = 2.0 * ((1.0 - s) * math.cos(0.5 * x) ** 2 - (1.0 + s) * math.sin(0.5 * x) ** 2)
-            b = d = 0.0
-            for c in reversed(self.coeffs[1:]):
-                d = c + lam * b + s * d
-                b = d + s * b
-            return float(self.coeffs[0] + 0.5 * lam * b + s * d)
         order, m, lam = _azimuth_terms(psi_arr)
         b, d, t = (_aligned_zeros(lam.size) for _ in range(3))
         plus, minus = t[:m], t[m:]
@@ -134,6 +129,19 @@ class FourierCoeffTable:
         out[order] = self.coeffs[0] + 0.5 * lam * b + d
         return out.reshape(psi_arr.shape)
 
+    def _sum_at(self, x: float) -> float:
+        """The recurrence in s at one psi, on Python floats."""
+        if not math.isfinite(x):
+            raise ValueError("reconstruct needs a finite psi")
+        s = math.copysign(1.0, math.cos(x))
+        # 1 - s and 1 + s are 0 or 2 exactly, so one half-angle term survives
+        lam = 2.0 * ((1.0 - s) * math.cos(0.5 * x) ** 2 - (1.0 + s) * math.sin(0.5 * x) ** 2)
+        b = d = 0.0
+        for c in reversed(self.coeffs[1:]):
+            d = c + lam * b + s * d
+            b = d + s * b
+        return float(self.coeffs[0] + 0.5 * lam * b + s * d)
+
 
 def _aligned_zeros(n: int):
     """n float zeros starting on a 64-byte boundary.  The Reinsch loop's
@@ -142,6 +150,8 @@ def _aligned_zeros(n: int):
     the allocations before it (on an AVX-512 host, a docstring edit in
     another module moved ring_lattice by 10-16 %).  Alignment changes no
     element's value."""
+    import numpy as np
+
     buf = np.zeros(n + 8)
     start = (-buf.ctypes.data % 64) // 8
     return buf[start:start + n]
@@ -158,6 +168,8 @@ def _azimuth_terms(psi_arr):
     s = +1 first, each sign in index order, m points have s = +1, and lam'
     is in that order.  The last grid of at most _HELD_GRID_POINTS points is
     held (see FourierCoeffTable.reconstruct)."""
+    import numpy as np
+
     global _held_grid
     key = None
     if psi_arr.size <= _HELD_GRID_POINTS:

@@ -45,7 +45,10 @@ every n at once, each only where m > 2n (coarser grids alias n to n mod m).
 An n stops once its estimate moves by at most 1e-12 * max(1, max|f|), the
 spectral-accuracy floor of double precision (for large kernels an absolute
 1e-12 target is unreachable by any quadrature), so it needs two such grids
-up to the cap, and an n >= 2^18 is refused.
+up to the cap, and an n >= 2^18 is refused.  The oracle is the only code
+here that loads numpy, when it first runs: importing this module, or
+proving the identities, never does, so the suite's worker loads numpy
+itself unless its caller had loaded it already.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ConvergenceError
 from .greens import Geometry, SolutionParams, axisym_component, kernel_table, li_expansion
@@ -207,6 +208,8 @@ def legendre_p_nu(nu: float, m: int, z: float) -> float:
 
 
 def _kernel_samples(kernel: str, param: int, chi: float, m: int):
+    import numpy as np
+
     psi = np.arange(m) * (2.0 * math.pi / m)
     base = chi - np.cos(psi)
     if kernel == "power":
@@ -222,6 +225,8 @@ def _kernel_samples(kernel: str, param: int, chi: float, m: int):
 
 def kernel_scale(kernel: str, param: int, chi: float) -> float:
     """max(1, sup |f|) for the tolerance floors; sampled at 64 nodes."""
+    import numpy as np
+
     f = _kernel_samples(kernel, param, chi, 64)
     return max(1.0, float(np.max(np.abs(f))))
 
@@ -233,6 +238,8 @@ def _trapezoid(kernel, param, chi, ns) -> list[float]:
     """The oracle's value for each n in ns, by the module docstring's rule; an
     n's value does not depend on the other ns.  ConvergenceError past
     _MAX_NODES nodes."""
+    import numpy as np
+
     todo = dict.fromkeys(ns)  # n: its last estimate, None before the first
     done = {}
     m = 64
@@ -509,7 +516,7 @@ def run_validation_suite(
             for key in [("n0", p, 0), ("np", p, p), *(("mid", p, n) for n in range(1, p))]]
     keys += [(family, p, n) for p in range(pmax + 1) for n in range(p + 1, nmax + 1)
              for family in ("tail", "re_closed_form")]
-    # imported here, not at module top, where it would add ~20 ms to every
+    # imported here, not at module top, where it would add 20-30 ms to every
     # `import polyfourier`
     from concurrent.futures import ProcessPoolExecutor
 

@@ -346,10 +346,32 @@ def test_readme_cli_example_output(capsys, command, shown):
 
 
 def test_import_loads_no_process_machinery():
-    # run_validation_suite imports its worker pool when called: at module top
-    # it would add ~20 ms to every `import polyfourier`
-    probe = ("import sys, polyfourier; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    # run_validation_suite imports its worker pool when called, and only the
+    # code that takes or makes an array imports numpy: at module top the pool
+    # would add 20-30 ms to every `import polyfourier`, and numpy 65-110 ms
+    probe = ("import sys, polyfourier, polyfourier.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"
+
+
+NUMPY_FREE_COMMANDS = [
+    "logpoly --p 3",
+    "coeffs --kernel log --p 2 --chi 1.5",
+    next(command for command, _ in CLI_BLOCKS if command.startswith("greens ")),
+]
+
+
+@pytest.mark.parametrize("command", NUMPY_FREE_COMMANDS,
+                         ids=[command.split()[0] for command in NUMPY_FREE_COMMANDS])
+def test_scalar_commands_run_without_numpy(capsys, command):
+    # with numpy unimportable the command prints what it prints in-process
+    assert main(shlex.split(command)) == 0
+    want = capsys.readouterr().out
+    runner = ("import sys; sys.modules['numpy'] = None; from polyfourier.cli import main; "
+              "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", runner, *shlex.split(command)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want

@@ -373,6 +373,16 @@ def test_validate_refuses_a_bad_eta_by_name(capsys, eta):
     assert err.startswith("error: run_validation_suite needs etas"), err
 
 
+@pytest.mark.parametrize("etas", ["", "0.5,abc", "0.5,,1"])
+def test_validate_names_the_etas_flag_for_a_non_number(capsys, etas):
+    # it printed only "could not convert string to float"
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--pmax", "1", "--etas", etas])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --etas: needs comma-separated numbers, got {etas!r}" in err, err
+
+
 def test_validate_band_free_grid_passes(capsys):
     # with no banded identities in range the remaining checks still pass
     code, out, _ = run_cli(capsys, "validate", "--pmax", "0", "--etas", "1.0",

@@ -366,8 +366,22 @@ def test_leading_power_coefficient_is_exact_up_to_the_last_degree():
     # exactly -2^-134
     eta = eta_from_chi(1.5)
     for p in range(1, 151):
-        assert power_coefficient(p, p, eta) == pytest.approx(2.0 * (-0.5) ** p, rel=1e-14), p
+        want = 2.0 * (-0.5) ** p
+        assert power_coefficient(p, p, eta) == pytest.approx(want, rel=1e-14, abs=0.0), p
     assert power_series(135, 1.5).coeffs[135] == -(2.0**-134)
+    for p in (110, 130):  # wrong nearer chi = 1 (the xfail below)
+        want = 2.0 * (-0.5) ** p
+        assert power_series(p, 1.5).coeffs[p] == pytest.approx(want, rel=1e-14, abs=0.0), p
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 7 and 14: a product whose float factor "
+                          "underflows before a larger one arrives is not rescaled")
+@pytest.mark.parametrize("p, chi", [(130, 1.2), (110, 1.01)])
+def test_leading_power_coefficient_nearer_chi_1(p, chi):
+    # c_130 at chi = 1.2 is off by 3.2e-5, and c_110 at chi = 1.01 comes back
+    # 0.0 for 2^-109; both are right at chi = 1.5 (the test above)
+    assert abs(power_series(p, chi).coeffs[p] / (2.0 * (-0.5) ** p) - 1) < 1e-14
 
 
 @pytest.mark.parametrize("p", [136, 140])

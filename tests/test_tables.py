@@ -167,18 +167,32 @@ def test_reconstruct_is_bit_identical_to_the_signed_recurrence():
 
 @pytest.mark.parametrize("psi", [
     math.inf, -math.inf, math.nan, np.array([0.1, math.nan]), [0.0, math.inf],
+    np.array(math.nan), pytest.param(np.float64(math.inf), id="float64-inf"),
 ])
 def test_reconstruct_refuses_non_finite_psi(psi):
-    # inf used to give nan with a RuntimeWarning and nan a silent nan
-    with pytest.raises(ValueError):
+    # inf used to give nan with a RuntimeWarning and nan a silent nan; a
+    # scalar and an array are refused alike
+    with pytest.raises(ValueError, match=r"^reconstruct needs a finite psi$"):
         make().reconstruct(psi)
 
 
-@pytest.mark.parametrize("psi", [1 + 2j, np.complex128(1.0), np.array([1 + 2j]), [0.5, 1j]])
+@pytest.mark.parametrize("psi", [1 + 2j, np.complex128(1.0), np.array([1 + 2j]), [0.5, 1j],
+                                 complex(math.nan, 0.0)])
 def test_reconstruct_refuses_complex_psi(psi):
     # the imaginary part used to be dropped with a ComplexWarning
     with pytest.raises(ValueError, match="real psi"):
         make().reconstruct(psi)
+
+
+@pytest.mark.parametrize("x", [0.3, 2.0, -3.0, -5.5, math.pi])
+def test_every_scalar_kind_returns_the_same_bits(x):
+    # a Python float or int runs the scalar loop without numpy; np.float64
+    # (a float) and a 0-d array must land on the very same loop
+    t = log_series_limit(3, math.cosh(0.4), 60)
+    kinds = [x, np.float64(x), np.array(x)] + ([int(x)] if x == int(x) else [])
+    got = [t.reconstruct(k) for k in kinds]
+    assert all(type(g) is float for g in got)
+    assert {g.hex() for g in got} == {reinsch_reference(t.coeffs, x).hex()}
 
 
 @pytest.fixture
