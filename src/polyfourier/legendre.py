@@ -20,10 +20,12 @@ Evaluation strategy (all branches are cancellation-free for z > 1):
 
 Each closed form here, and those of the series routes built on it, is
 written once over an evaluation point that owns the arithmetic.  LegendreArg
-is one float point, z = coth(eta), that holds eta and u = z - 1: the factors
-(z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} are csch eta and e^{-eta}, and the
-positive-term sums run in u.  from_eta sets u = 2/expm1(2 eta); from_z, behind
-the z-argument functions, keeps u = z - 1 exact and sets eta = log1p(2/u)/2.
+is one float point, z = coth(eta), that holds eta, u = z - 1 and x = cosh eta:
+the factors (z^2-1)^{1/2} and ((z-1)/(z+1))^{1/2} are csch eta and e^{-eta},
+the positive-term sums run in u, and series_limit's power row runs in x.
+from_eta sets u = 2/expm1(2 eta), and x = cosh eta unless the caller holds
+chi itself, as a table does; from_z, behind the z-argument functions, keeps
+u = z - 1 exact and sets eta = log1p(2/u)/2.
 Every exact weight w meets the point's values in pt.times(w, *factors),
 where the float point guards w's cast once for every closed form.
 SymbolicLegendreArg is the exact point as a function of t = e^eta, whose
@@ -63,14 +65,23 @@ __all__ = [
 ]
 
 
+def _cosh(eta: float) -> float:
+    try:
+        return math.cosh(eta)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class LegendreArg:
-    """Float evaluation point z = coth(eta) > 1, holding eta and u = z - 1.
+    """Float evaluation point z = coth(eta) > 1, holding eta, u = z - 1 and
+    x = cosh eta.
 
     e^{k eta} and sinh^k(eta) come from eta; the Taylor and Gauss sums run in
     u.  from_eta sets u = 2/expm1(2 eta), or 2 e^{-2 eta}/(-expm1(-2 eta))
     past eta ~ 354.9, where expm1(2 eta) overflows; from_z keeps u = z - 1
     exact, which those sums need near z = 1, and sets eta = log1p(2/u)/2.
+    x is the chi given to from_eta, else cosh eta (inf where that overflows).
     weight rounds an int or a Fraction once, by _nearest_float (Horner's
     cast, and the constants 0 and 1); times guards it for an exact weight
     times float factors; total is math.fsum.
@@ -78,22 +89,25 @@ class LegendreArg:
 
     eta: float
     u: float
+    x: float
 
     @classmethod
-    def from_eta(cls, eta: float) -> "LegendreArg":
+    def from_eta(cls, eta: float, chi: float | None = None) -> "LegendreArg":
         if not eta > 0.0:
             raise ValueError("from_eta needs eta > 0")
         try:
-            return cls(eta, 2.0 / math.expm1(2.0 * eta))
+            u = 2.0 / math.expm1(2.0 * eta)
         except OverflowError:
-            return cls(eta, 2.0 * math.exp(-2.0 * eta) / -math.expm1(-2.0 * eta))
+            u = 2.0 * math.exp(-2.0 * eta) / -math.expm1(-2.0 * eta)
+        return cls(eta, u, _cosh(eta) if chi is None else chi)
 
     @classmethod
     def from_z(cls, z: float) -> "LegendreArg":
         if not (z > 1.0 and math.isfinite(z)):
             raise ValueError("from_z needs a finite z > 1")
         u = z - 1.0
-        return cls(0.5 * math.log1p(2.0 / u), u)
+        eta = 0.5 * math.log1p(2.0 / u)
+        return cls(eta, u, _cosh(eta))
 
     weight = staticmethod(_nearest_float)
     total = staticmethod(math.fsum)

@@ -12,9 +12,11 @@ an alternating sum, whose adjacent terms can cancel to many digits at small
 eta, summed by math.fsum (correctly rounded) at the float point and exactly
 at the symbolic point.  p_frak assembles the branch structure in n (constant
 band, middle band, n = p edge, exponential tail) and q_frak adds the power
-term carrying the (eta - log 2) weight.  r_frak, re_frak and p_frak are
-written once over an evaluation point (see legendre), so the identity suite
-proves them in t = e^eta; series_limit._table builds the table.
+term carrying the (eta - log 2) weight, from series_limit's power row.
+r_frak, re_frak and p_frak are written once over an evaluation point (see
+legendre), so the identity suite proves them in t = e^eta;
+series_limit._table builds the table, with the power term added by
+series_limit._log_row.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .legendre import LegendreArg
-from .series_limit import _log_power_term, _table
+from .series_limit import _log_band, _log_row, _table
 from .tables import FourierCoeffTable
 
 __all__ = [
@@ -95,18 +97,13 @@ def p_frak(n: int, p: int, eta: float) -> float:
     return _p_frak(LegendreArg.from_eta(eta), n, p)
 
 
-def _q_frak(pt, p: int, n: int):
-    out = _p_frak(pt, n, p)
-    if n <= p:
-        out += _log_power_term(pt, p, n)
-    return out
-
-
 def q_frak(n: int, p: int, eta: float) -> float:
     """Full coefficient of cos(n psi) in (cosh eta - cos psi)^p log(...):
     p_frak plus the (eta - log 2)-weighted power-series coefficient, which is
     zero for n > p."""
-    return _q_frak(LegendreArg.from_eta(eta), p, n)
+    pt = LegendreArg.from_eta(eta)
+    out = _p_frak(pt, n, p)
+    return _log_band(pt, p)[n] + out if n <= p else out
 
 
 def log_series_algebraic(p: int, chi: float, nmax: int | None = None) -> FourierCoeffTable:
@@ -118,4 +115,5 @@ def log_series_algebraic(p: int, chi: float, nmax: int | None = None) -> Fourier
     """
     if p < 0:
         raise ValueError("log_series_algebraic needs p >= 0")
-    return _table("log", "algebraic", p, chi, _q_frak, nmax, p + 1)
+    return _table("log", "algebraic", p, chi, _log_row(lambda pt, p, n: _p_frak(pt, n, p)),
+                  nmax, p + 1)

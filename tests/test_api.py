@@ -175,6 +175,18 @@ def test_series_tables_are_built_in_one_pipeline():
         assert {f: {"_table"} for f in funcs}.items() <= used.items(), module
 
 
+def test_power_row_is_the_only_production_power_form():
+    # f_n comes from one power row per table; the closed form
+    # _power_coefficient is the tests' reference, and no production code
+    # reads it
+    src = ROOT / "src" / "polyfourier"
+    readers = {module.stem: set(_names_used(module, {"_power_row", "_power_coefficient"}))
+               for module in src.glob("*.py")}
+    assert {m: r for m, r in readers.items() if r} == {
+        "series_limit": {"_log_band", "power_coefficient", "power_series"}}
+    assert _names_used(src / "series_limit.py", {"_power_coefficient"}) == {}
+
+
 def _functions(path: Path) -> dict[str, ast.FunctionDef]:
     return {stmt.name: stmt for stmt in ast.parse(path.read_text()).body
             if isinstance(stmt, ast.FunctionDef)}

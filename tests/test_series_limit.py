@@ -44,19 +44,17 @@ def e(x):
 
 
 def test_power_series_linear_case():
-    # c_0 passes through the chi -> eta -> cosh round trip, so allow one ulp
+    # the power row runs in chi itself: c_0 = chi and c_1 = -1 exactly
     t = power_series(1, CHI)
-    assert t.coeffs[0] == pytest.approx(CHI, rel=1e-15)
-    assert t.coeffs[1] == pytest.approx(-1.0, rel=1e-15)
+    assert t.coeffs == (CHI, -1.0)
     assert t.kernel == "power" and t.param == 1
 
 
 def test_power_series_quadratic_case():
     # (chi - cos)^2 = chi^2 + 1/2 - 2 chi cos + (1/2) cos 2psi
+    # the power row forms c_0 as 0.5 + chi^2, each step rounded as here
     t = power_series(2, CHI)
-    assert t.coeffs[0] == pytest.approx(CHI * CHI + 0.5, rel=1e-15)
-    assert t.coeffs[1] == pytest.approx(-2.0 * CHI, rel=1e-15)
-    assert t.coeffs[2] == pytest.approx(0.5, rel=1e-15)
+    assert t.coeffs == (CHI * CHI + 0.5, -2.0 * CHI, 0.5)
 
 
 def test_power_series_is_finite_and_zero_extended():
@@ -66,12 +64,10 @@ def test_power_series_is_finite_and_zero_extended():
 
 
 def test_power_coefficient_matches_series_entry():
+    # both read the power row, at x = cosh(ETA) = CHI
     for p in range(6):
         t = power_series(p, CHI)
-        for n in range(p + 1):
-            assert power_coefficient(p, n, ETA) == pytest.approx(
-                t.coeffs[n], rel=1e-13, abs=1e-300
-            )
+        assert [power_coefficient(p, n, ETA) for n in range(p + 1)] == list(t.coeffs)
 
 
 def test_power_weight_is_the_reduced_pochhammer_form():
@@ -94,12 +90,17 @@ def test_power_coefficients_sum_exactly_to_the_kernel_at_0_and_pi():
 
 
 def test_power_series_reconstructs_kernel():
+    # reconstruct's error is a few u sum|c_n| (tables.FourierCoeffTable), so
+    # relative to f it is a few u sum|c_n|/|f|, which at p = 4 reaches 6,100
+    # at psi = 0: against 40 digits, measured at most 1.21 u sum|c_n|/|f|
+    u = 2.0**-53
     for p in (0, 1, 4):
         t = power_series(p, CHI)
+        bound = 4 * u * sum(map(abs, t.coeffs))
         for psi in (0.0, 0.4, 2.0, math.pi):
-            assert t.reconstruct(psi) == pytest.approx(
-                (CHI - math.cos(psi)) ** p, rel=1e-13
-            )
+            with mpmath.workdps(40):
+                want = float((mpmath.mpf(CHI) - mpmath.cos(psi)) ** p)
+            assert t.reconstruct(psi) == pytest.approx(want, rel=bound / want, abs=0.0), (p, psi)
 
 
 def test_inverse_power_first_three_orders():
@@ -308,9 +309,10 @@ def test_every_route_rejects_non_finite_chi(route, chi):
         route(chi)
 
 
-# -- exact weights whose cast is not a normal double ------------------------------
+# -- large p: the power row, and exact weights whose cast is not a normal double --
 # f_n's weight eps_n (-1)^n p!/(p+n)! is subnormal from p = 135 (n = p) and 0.0
 # from p = 140; the point's times casts it scaled by a power of two instead.
+# The power row needs no weight: its entries keep their digits at every chi.
 
 def _power_reference(pmax: int, chi: float) -> dict[int, list]:
     """{p: [c_0 .. c_p]} of (chi - cos psi)^p in mpmath, by multiplying by
@@ -361,27 +363,58 @@ def test_power_series_past_the_subnormal_weight_against_mpmath(chi):
 
 
 def test_leading_power_coefficient_is_exact_up_to_the_last_degree():
-    # c_p = 2 (-1)^p 2^-p at every chi: the weight (-1)^p 2 p!/(2p)! times
-    # sinh^p(eta) P_p^p(coth eta) = (2p-1)!!; at p = 135, chi = 1.5 it is
-    # exactly -2^-134
+    # c_p = 2 (-1)^p 2^-p at every chi, the power row's exact start; the
+    # closed form has it as the weight (-1)^p 2 p!/(2p)! times
+    # sinh^p(eta) P_p^p(coth eta) = (2p-1)!!, to within 1e-14 up to p = 150
+    # at chi = 1.5, where at p = 135 it is exactly -2^-134
     eta = eta_from_chi(1.5)
+    pt = LegendreArg.from_eta(eta)
     for p in range(1, 151):
         want = 2.0 * (-0.5) ** p
-        assert power_coefficient(p, p, eta) == pytest.approx(want, rel=1e-14, abs=0.0), p
-    assert power_series(135, 1.5).coeffs[135] == -(2.0**-134)
-    for p in (110, 130):  # wrong nearer chi = 1 (the xfail below)
-        want = 2.0 * (-0.5) ** p
-        assert power_series(p, 1.5).coeffs[p] == pytest.approx(want, rel=1e-14, abs=0.0), p
+        assert power_coefficient(p, p, eta) == want, p
+        assert _power_coefficient(pt, p, p) == pytest.approx(want, rel=1e-14, abs=0.0), p
+    assert _power_coefficient(pt, 135, 135) == -(2.0**-134)
+    for p in (110, 130):
+        assert power_series(p, 1.5).coeffs[p] == 2.0 * (-0.5) ** p, p
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 7 and 14: a product whose float factor "
-                          "underflows before a larger one arrives is not rescaled")
 @pytest.mark.parametrize("p, chi", [(130, 1.2), (110, 1.01)])
 def test_leading_power_coefficient_nearer_chi_1(p, chi):
-    # c_130 at chi = 1.2 is off by 3.2e-5, and c_110 at chi = 1.01 comes back
-    # 0.0 for 2^-109; both are right at chi = 1.5 (the test above)
+    # the closed form had c_130 at chi = 1.2 off by 3.2e-5, and c_110 at
+    # chi = 1.01 came back 0.0 for 2^-109; the power row starts from it
     assert abs(power_series(p, chi).coeffs[p] / (2.0 * (-0.5) ** p) - 1) < 1e-14
+
+
+# chi from 1 + 1e-8 to 1e4; at 1e4 the entries fit a double up to p = 77
+POWER_ROW_CHIS = (1 + 1e-8, 1 + 1e-6, 1 + 1e-4, 1.01, 1.2, 1.5, 3.0, 10.0, 100.0, 1e4)
+
+
+@pytest.mark.parametrize("chi", POWER_ROW_CHIS)
+def test_power_row_against_mpmath(chi):
+    # every entry of every power table p <= 150 within 4e-15 relative of
+    # 60 digits (measured: at most 3.0e-15, at chi = 100), wherever the
+    # entries fit a double; where c_0 does not, the table is refused.  The
+    # closed form was off by up to 1.0 at chi <= 1.2, or refused the table
+    # (94 of 151 degrees at chi = 1 + 1e-8).  Where sinh(eta)^p overflows
+    # too, the table names that first
+    with mpmath.workdps(60):
+        want = _power_reference(150, chi)
+    for p in range(151):
+        if abs(want[p][0]) < mpmath.mpf(2) ** 1024:
+            assert _worst_relative_error(power_series(p, chi).coeffs, want[p]) < 4e-15, p
+        else:
+            with pytest.raises(ValueError, match="out of the float range|sinh.* overflows"):
+                power_series(p, chi)
+
+
+def test_power_row_matches_the_closed_form_where_that_holds():
+    # at chi = 1.5 and 3 the closed form holds its digits up to p = 150
+    for chi in (1.5, 3.0):
+        pt = LegendreArg.from_eta(eta_from_chi(chi))
+        for p in range(0, 151, 5):
+            row = power_series(p, chi).coeffs
+            closed = [_power_coefficient(pt, p, n) for n in range(p + 1)]
+            assert _worst_relative_error(row, closed) < 3e-14, (chi, p)
 
 
 @pytest.mark.parametrize("p", [136, 140])
@@ -393,11 +426,31 @@ def test_log_series_limit_past_the_subnormal_weight_against_mpmath(p):
 
 
 @pytest.mark.parametrize("chi", [1.5, 3.0])
-def test_power_series_from_degree_151_is_refused(chi):
-    # the Taylor coefficient (2p)!/(2^p p!) of P_p^p leaves the float range
+def test_log_series_limit_from_degree_151_is_refused(chi):
+    # the Taylor coefficient (2p)!/(2^p p!) of the band's P_p^p leaves the
+    # float range.  The algebraic route needed P_p^p only for its power term,
+    # which the power row now gives, so it builds past p = 150, with its
+    # small entries as wrong as they already are from p ~ 100 (ROADMAP item 2)
+    # (only p = 151: a cold p = 200 table takes 10 s to reach its refusal)
+    with pytest.raises(ValueError, match="coefficient out of the float range"):
+        log_series_limit(151, chi, 152)
+
+
+def test_power_series_past_degree_150():
+    # the power row needs no P_p^p: it builds to p = 1023 where c_0 fits a
+    # double, and refuses from p = 1024, where c_p = 2^(1-p) is subnormal
+    with mpmath.workdps(60):
+        want = _power_reference(200, 1.5)
     for p in (151, 200):
-        with pytest.raises(ValueError, match="coefficient out of the float range"):
-            power_series(p, chi)
+        assert _worst_relative_error(power_series(p, 1.5).coeffs, want[p]) < 4e-15, p
+    assert power_series(1023, 1 + 1e-8).coeffs[1023] == -(2.0**-1022)
+    with pytest.raises(ValueError, match="coefficient out of the float range"):
+        power_series(1024, 1 + 1e-8)
+    with pytest.raises(ValueError, match="c_p = \\(-1\\)\\^p 2\\^\\(1-p\\) is subnormal"):
+        power_coefficient(1024, 0, 1e-4)
+    with pytest.raises(ValueError, match="power_coefficient overflows double precision"):
+        power_coefficient(3, 2, 800.0)
+    assert power_coefficient(3, 3, 800.0) == -0.25
 
 
 def test_zero_weight_is_the_plain_product():
