@@ -16,7 +16,10 @@ term carrying the (eta - log 2) weight, from series_limit's power row.
 r_frak, re_frak and p_frak are written once over an evaluation point (see
 legendre), so the identity suite proves them in t = e^eta;
 series_limit._table builds the table, with the power term added by
-series_limit._log_row.
+series_limit._log_row.  q_frak and log_series_algebraic refuse p > 150
+(_PMAX): past it the limit route, the only check on this one, is refused
+too, and this route's small entries are already wrong from p ~ 100
+(ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ __all__ = [
     "q_frak",
     "log_series_algebraic",
 ]
+
+# past it the Taylor coefficient (2p)!/(2^p p!) of P_p^p overflows, so the
+# limit route, the only check on this one, is refused
+_PMAX = 150
+
+
+def _refuse_past_pmax(name: str, p: int) -> None:
+    if p > _PMAX:
+        raise ValueError(f"{name} needs p <= {_PMAX}: past it the limit route is "
+                         "refused and this route's small entries are wrong")
 
 
 def _r_frak(pt, n: int, p: int, k1: int, k2: int):
@@ -100,7 +113,8 @@ def p_frak(n: int, p: int, eta: float) -> float:
 def q_frak(n: int, p: int, eta: float) -> float:
     """Full coefficient of cos(n psi) in (cosh eta - cos psi)^p log(...):
     p_frak plus the (eta - log 2)-weighted power-series coefficient, which is
-    zero for n > p."""
+    zero for n > p.  Refused for p > 150, as log_series_algebraic."""
+    _refuse_past_pmax("q_frak", p)
     pt = LegendreArg.from_eta(eta)
     out = _p_frak(pt, n, p)
     return _log_band(pt, p)[n] + out if n <= p else out
@@ -111,9 +125,11 @@ def log_series_algebraic(p: int, chi: float, nmax: int | None = None) -> Fourier
 
     Tables built at eta < 0.2 carry conditioning_warning: the alternating
     sums then cancel severely and small tail entries are reliable in the
-    absolute sense only.
+    absolute sense only.  Refused for p > 150, where the limit route that
+    checks it is refused too.
     """
     if p < 0:
         raise ValueError("log_series_algebraic needs p >= 0")
+    _refuse_past_pmax("log_series_algebraic", p)
     return _table("log", "algebraic", p, chi, _log_row(lambda pt, p, n: _p_frak(pt, n, p)),
                   nmax, p + 1)

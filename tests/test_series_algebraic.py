@@ -152,6 +152,24 @@ def test_term_overflow_below_the_sinh_bound_names_the_table(p, eta):
         log_series_algebraic(p, chi, p + 3)
 
 
+@pytest.mark.parametrize("chi", [1.5, 3.0])
+def test_degree_151_is_refused(chi):
+    # past p = 150 the limit route, the only check on this one, is refused;
+    # built there, this route's entries were off by 2.3e39 relative at
+    # (151, 1.5) with conditioning_warning False
+    refused = "needs p <= 150: past it the limit route is refused"
+    with pytest.raises(ValueError, match=f"^log_series_algebraic {refused}"):
+        log_series_algebraic(151, chi, 152)
+    for n in (0, 151, 152):
+        with pytest.raises(ValueError, match=f"^q_frak {refused}"):
+            q_frak(n, 151, math.acosh(chi))
+    geom = Geometry(1.0, 1.0, 2 * chi - 2)
+    assert geom.chi == chi
+    with pytest.raises(ValueError, match=f"^log_series_algebraic {refused}"):
+        li_expansion(SolutionParams(2, 152), geom)
+    assert log_series_algebraic(150, chi, 151).nmax == 151
+
+
 @pytest.mark.parametrize("p,eta", [(8, 118.67), (10, 89.12), (10, 101.6)])
 def test_past_the_sinh_bound_every_route_names_sinh(p, eta):
     # sinh(eta)^p overflows here; the algebraic route reported fsum's

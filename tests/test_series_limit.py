@@ -353,13 +353,16 @@ def _worst_relative_error(got, want) -> float:
 
 @pytest.mark.parametrize("chi", [1.5, 3.0])
 def test_power_series_past_the_subnormal_weight_against_mpmath(chi):
-    # with the weight cast unguarded, the error at chi = 1.5 was 1.4e-11 at
-    # p = 136 and 1.2e-6 at p = 138, and from p = 140 entries of 1e-42 ..
-    # 1e-24 came back 0.0
+    # the closed form's guarded weight cast, which the tables no longer read:
+    # with the cast unguarded, the error at chi = 1.5 was 1.4e-11 at p = 136
+    # and 1.2e-6 at p = 138, and from p = 140 entries of 1e-42 .. 1e-24 came
+    # back 0.0
     with mpmath.workdps(40):
         want = _power_reference(150, chi)
+    pt = LegendreArg.from_eta(eta_from_chi(chi))
     for p in range(136, 151):
-        assert _worst_relative_error(power_series(p, chi).coeffs, want[p]) < 1e-13, p
+        closed = [_power_coefficient(pt, p, n) for n in range(p + 1)]
+        assert _worst_relative_error(closed, want[p]) < 1e-13, p
 
 
 def test_leading_power_coefficient_is_exact_up_to_the_last_degree():
@@ -428,9 +431,7 @@ def test_log_series_limit_past_the_subnormal_weight_against_mpmath(p):
 @pytest.mark.parametrize("chi", [1.5, 3.0])
 def test_log_series_limit_from_degree_151_is_refused(chi):
     # the Taylor coefficient (2p)!/(2^p p!) of the band's P_p^p leaves the
-    # float range.  The algebraic route needed P_p^p only for its power term,
-    # which the power row now gives, so it builds past p = 150, with its
-    # small entries as wrong as they already are from p ~ 100 (ROADMAP item 2)
+    # float range; the algebraic route refuses p > 150 with it
     # (only p = 151: a cold p = 200 table takes 10 s to reach its refusal)
     with pytest.raises(ValueError, match="coefficient out of the float range"):
         log_series_limit(151, chi, 152)
